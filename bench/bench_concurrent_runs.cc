@@ -13,12 +13,14 @@
 //
 //   oracle   each client sequentially, flag-off defaults, no simulated
 //            latency: the byte-identity reference.
-//   private  concurrent, reuse_decoded_pages: today's run-private cache.
-//            Overlapping clients decode every shared page version once
-//            PER CLIENT — up to 4x duplicated fetch + decode work.
+//   private  concurrent, each engine handed its own sql::SharedScanCache:
+//            run-private caches. Overlapping clients decode every shared
+//            page version once PER CLIENT — up to 4x duplicated fetch +
+//            decode work.
 //   shared   concurrent, one sql::SharedScanCache attached to all four
 //            engines: cross-run hits, per-version single-flight decode,
-//            and coalesced SPT builds in the store.
+//            and coalesced SPT builds in the store (which the bench, as
+//            the store's owner, turns on for this config only).
 //
 // Self-checks (CI gates):
 //   * every unique page version is decoded exactly once in the shared
@@ -71,6 +73,8 @@ struct Client {
   std::unique_ptr<sql::Database> meta;
   std::unique_ptr<sql::Database> data;
   std::unique_ptr<RqlEngine> engine;
+  /// The client's own decoded-page cache (private config only).
+  std::unique_ptr<sql::SharedScanCache> own_cache;
   std::string qs;
   // Harvested after each run.
   double wall_ms = 0;
@@ -186,13 +190,15 @@ int Run() {
 
   // Both concurrent configs run batch execution: page-at-a-time
   // evaluation keeps per-iteration CPU small relative to archive I/O,
-  // which is the regime the shared cache targets (and exercises the
-  // batch iterator against both cache implementations).
+  // which is the regime the shared cache targets.
   RqlOptions private_opts;
   private_opts.cold_cache_per_run = false;
-  private_opts.reuse_decoded_pages = true;
   private_opts.batch_execution = true;
   std::vector<Client> priv = MakeClients(history, private_opts);
+  for (Client& c : priv) {
+    c.own_cache = std::make_unique<sql::SharedScanCache>();
+    c.engine->mutable_options()->shared_scan_cache = c.own_cache.get();
+  }
   store->ClearSnapshotCache();
   const double wall_private = RunConcurrent(&priv);
 
@@ -203,10 +209,12 @@ int Run() {
   shared_opts.batch_execution = true;
   std::vector<Client> shared = MakeClients(history, shared_opts);
   store->ClearSnapshotCache();
+  store->set_share_spt_builds(true);
   const int64_t spt_shared_before = store->shared_spt_builds_total();
   const double wall_shared = RunConcurrent(&shared);
   const int64_t spt_shared =
       store->shared_spt_builds_total() - spt_shared_before;
+  store->set_share_spt_builds(false);
 
   store->set_simulated_archive_latency_us(0);
   store->set_simulated_archive_fetch_slots(0);

@@ -1,10 +1,10 @@
 // Reproduces Figure 6 — ratio C (RQL latency over all-cold latency) as the
 // snapshot interval length grows, for update workloads UW30/UW15 and Qs
 // steps 1 and 10, using AggregateDataInVariable(Qs_N, Qq_io, AVG) over old
-// snapshots — and extends it with the COW page-sharing flag ablation:
-// reuse_decoded_pages and skip_unchanged_iterations over a sparse-update
-// history, where most consecutive snapshots map identical page versions
-// for the table Qq reads.
+// snapshots — and extends it with the COW page-sharing ablation: a
+// per-run decoded-page cache and skip_unchanged_iterations over a
+// sparse-update history, where most consecutive snapshots map identical
+// page versions for the table Qq reads.
 //
 // Expected shape (paper): C starts near 1 for one-snapshot intervals,
 // drops as the interval grows, and converges to a constant once the cold
@@ -18,6 +18,7 @@
 // together must cut the end-to-end latency at least 2x.
 
 #include "bench_common.h"
+#include "sql/shared_scan_cache.h"
 #include "storage/env.h"
 
 namespace rql::bench {
@@ -107,7 +108,7 @@ struct AblationCell {
 
 constexpr AblationCell kCells[] = {
     {"off", false, false},
-    {"reuse_decoded_pages", true, false},
+    {"decoded_page_cache", true, false},
     {"skip_unchanged_iterations", false, true},
     {"both", true, true},
 };
@@ -123,7 +124,8 @@ struct AblationResult {
 AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   RqlEngine* engine = h->engine.get();
   RqlOptions* opts = engine->mutable_options();
-  opts->reuse_decoded_pages = cell.reuse;
+  sql::SharedScanCache run_cache;  // this run's own decoded-page cache
+  opts->shared_scan_cache = cell.reuse ? &run_cache : nullptr;
   opts->skip_unchanged_iterations = cell.skip;
   // Comparable across cells: every run starts with a cold snapshot cache.
   h->data->store()->ClearSnapshotCache();
@@ -150,7 +152,7 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
     r.rows.push_back(sql::EncodeRow(row));
   }
 
-  opts->reuse_decoded_pages = false;
+  opts->shared_scan_cache = nullptr;
   opts->skip_unchanged_iterations = false;
   return r;
 }

@@ -20,6 +20,7 @@
 // scan-aggregate at least 1.5x.
 
 #include "bench_common.h"
+#include "sql/shared_scan_cache.h"
 
 namespace rql::bench {
 namespace {
@@ -63,16 +64,19 @@ struct AblationResult {
 AblationResult RunScanAgg(tpch::History* history, int count, bool batch) {
   RqlEngine* engine = history->engine();
   RqlOptions* opts = engine->mutable_options();
-  // Decoded pages are cached in both configs, so the comparison isolates
-  // the execution spine (per-row interpretation vs. vectorized folds)
-  // rather than fetch/decode costs.
-  opts->reuse_decoded_pages = true;
   opts->batch_execution = batch;
   std::string qs = history->QsInterval(1, count);
   // Warm-up evens out OS caches and the allocator; the measured run still
-  // starts with a cold snapshot cache (cold_cache_per_run default).
-  BENCH_CHECK(engine->CollateData(qs, kQqScanAgg, "ScanAgg"));
-  BENCH_CHECK(engine->CollateData(qs, kQqScanAgg, "ScanAgg"));
+  // starts with a cold snapshot cache (cold_cache_per_run default). Each
+  // run gets its own decoded-page cache in both configs, so the
+  // comparison isolates the execution spine (per-row interpretation vs.
+  // vectorized folds) rather than fetch/decode costs.
+  for (int run = 0; run < 2; ++run) {
+    sql::SharedScanCache run_cache;
+    opts->shared_scan_cache = &run_cache;
+    BENCH_CHECK(engine->CollateData(qs, kQqScanAgg, "ScanAgg"));
+    opts->shared_scan_cache = nullptr;
+  }
 
   AblationResult r;
   const RqlRunStats& stats = engine->last_run_stats();

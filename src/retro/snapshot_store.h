@@ -337,8 +337,9 @@ class SnapshotStore : public storage::PageWriter {
   /// same id reuse the cached table. A cached table built earlier is
   /// sound because its recorded resume index makes the view catch up from
   /// the Maplog suffix on demand, exactly as a freshly built SPT does.
-  /// The engine enables this when runs attach a store-scoped
-  /// SharedScanCache; TruncateHistory drops every cached table.
+  /// The store's owner decides (the daemon turns it on for the store its
+  /// sessions share); the flag stays as set. TruncateHistory drops every
+  /// cached table.
   void set_share_spt_builds(bool on) {
     share_spt_builds_.store(on, std::memory_order_relaxed);
   }

@@ -928,10 +928,11 @@ void RqlEngine::PublishRunMetrics() {
 
 namespace {
 
-/// Bit encoding of the opt-in flags for the kRunBegin trace event.
+/// Bit encoding of the opt-in flags for the kRunBegin trace event (bit 8
+/// is retired; see rql/trace.h).
 int64_t OptionFlagBits(const RqlOptions& o) {
   return (o.incremental_spt ? 1 : 0) | (o.reuse_qq_plan ? 2 : 0) |
-         (o.batch_pagelog_reads ? 4 : 0) | (o.reuse_decoded_pages ? 8 : 0) |
+         (o.batch_pagelog_reads ? 4 : 0) |
          (o.skip_unchanged_iterations ? 16 : 0) |
          (o.batch_execution ? 32 : 0) | (o.memoize_iterations ? 64 : 0) |
          (o.shared_scan_cache != nullptr ? 128 : 0) |
@@ -940,7 +941,7 @@ int64_t OptionFlagBits(const RqlOptions& o) {
 
 }  // namespace
 
-Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
+void RqlEngine::ResetRun() {
   stats_ = RqlRunStats{};
   trace_on_ = options_.trace;
   // Restarted even when tracing is off (at capacity 0, so Emit no-ops):
@@ -948,6 +949,110 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   // earlier one.
   trace_.Restart(trace_on_ ? options_.trace_capacity : 0, NowMicros());
   trace_.SetContext(options_.session_id, options_.run_id);
+}
+
+Status RqlEngine::ValidateRunOptions(bool parallel) const {
+  if (options_.memoize_iterations && options_.memo == nullptr) {
+    return Status::InvalidArgument(
+        "memoize_iterations requires RqlOptions::memo to point at a "
+        "retro::MemoTable");
+  }
+  if (!options_.cold_cache_per_iteration) return Status::OK();
+  // The all-cold baseline pays every iteration's reads from an empty
+  // cache on the row-at-a-time pipeline. Each option below would
+  // silently measure something else.
+  struct Conflict {
+    bool set;
+    const char* option;
+    const char* reason;
+  };
+  const Conflict conflicts[] = {
+      {parallel, "parallel Qq evaluation (parallel_workers > 1)",
+       "workers share the snapshot cache, so a per-iteration clear would "
+       "race with concurrent readers"},
+      {options_.skip_unchanged_iterations, "skip_unchanged_iterations",
+       "a skipped iteration reads nothing"},
+      {options_.batch_execution, "batch_execution",
+       "the baseline measures the row-at-a-time pipeline"},
+      {options_.memoize_iterations, "memoize_iterations",
+       "a memo-replayed iteration reads nothing"},
+      {options_.shared_scan_cache != nullptr, "shared_scan_cache",
+       "scans are served pages decoded earlier"},
+      {options_.async_prefetch, "async_prefetch",
+       "a background fetch landing after the clear warms the cache"},
+  };
+  for (const Conflict& c : conflicts) {
+    if (c.set) {
+      return Status::InvalidArgument(
+          std::string("cold_cache_per_iteration is incompatible with ") +
+          c.option + " (" + c.reason +
+          ", so the all-cold baseline would not be measured)");
+    }
+  }
+  return Status::OK();
+}
+
+Status RqlEngine::BeginRun(bool parallel, int64_t snapshots) {
+  RQL_RETURN_IF_ERROR(ValidateRunOptions(parallel));
+  if (trace_on_) {
+    trace_.Emit(RqlTraceEventType::kRunBegin, retro::kNoSnapshot, NowMicros(),
+                {snapshots, parallel ? options_.parallel_workers : 1,
+                 OptionFlagBits(options_)});
+  }
+  retro::SnapshotStore* store = data_db_->store();
+  if (options_.cold_cache_per_run) {
+    // Cleared before any worker thread is spawned: thread creation gives
+    // the happens-before fence that makes the cold start visible to (and
+    // not raced by) the parallel phase.
+    store->ClearSnapshotCache();
+  }
+  store->set_archive_read_retries(options_.archive_read_retries);
+  // Armed for every run: in kDiff mode each archive read reports the
+  // diff-chain depth it walked (always 0 in kFull mode — one bucket).
+  store->set_diff_depth_histogram(
+      metrics()->GetHistogram("rql.pagelog.diff_depth"));
+  data_db_->set_scan_cache(options_.shared_scan_cache);
+  if (options_.batch_execution) {
+    data_db_->set_batch_execution(
+        true, metrics()->GetHistogram("rql.batch_size"));
+  }
+  saved_batch_archive_reads_ = store->batch_archive_reads();
+  // Parallel workers open snapshots out of order, so only sequential runs
+  // join a snapshot-set session or batch their archive reads. Iteration
+  // skipping rides the session because its cursor is what surfaces the
+  // per-step Maplog delta; memoized runs join it so a memo probe's
+  // snapshot open plus the execute-on-miss open of the same id cost one
+  // SPT derivation, not two cold builds.
+  session_open_ = !parallel && (options_.incremental_spt ||
+                                options_.skip_unchanged_iterations ||
+                                options_.memoize_iterations);
+  if (session_open_) store->BeginSnapshotSet();
+  if (!parallel && options_.batch_pagelog_reads) {
+    store->set_batch_archive_reads(true);
+  }
+  return Status::OK();
+}
+
+void RqlEngine::EndRun(const Status& status) {
+  retro::SnapshotStore* store = data_db_->store();
+  store->set_batch_archive_reads(saved_batch_archive_reads_);
+  if (session_open_) store->EndSnapshotSet();
+  session_open_ = false;
+  store->set_archive_read_retries(0);
+  store->set_diff_depth_histogram(nullptr);
+  data_db_->set_scan_cache(nullptr);
+  data_db_->set_batch_execution(false);
+  if (trace_on_) {
+    trace_.Emit(RqlTraceEventType::kRunEnd, retro::kNoSnapshot, NowMicros(),
+                {static_cast<int64_t>(stats_.iterations.size()),
+                 stats_.iterations_skipped, stats_.TotalUs(),
+                 status.ok() ? 1 : 0});
+  }
+  PublishRunMetrics();
+}
+
+Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
+  ResetRun();
   // A run cancelled before it starts must leave the metadata database
   // untouched (no dropped result table).
   if (CancelRequested()) return Status::Aborted("run cancelled");
@@ -971,125 +1076,20 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   }
   bool parallel = options_.parallel_workers > 1 && state->SupportsParallel() &&
                   snap_ids.size() > 1;
-  if (parallel && options_.cold_cache_per_iteration) {
-    // Workers share the snapshot cache; a per-iteration clear would race
-    // with concurrent readers and silently measure a partially warm cache.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with parallel Qq "
-        "evaluation (parallel_workers > 1)");
-  }
-  if (options_.skip_unchanged_iterations &&
-      options_.cold_cache_per_iteration) {
-    // A replayed iteration performs no reads at all, so the all-cold
-    // baseline the flag defines would silently not be measured.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with "
-        "skip_unchanged_iterations (a skipped iteration reads nothing, so "
-        "the all-cold baseline would not be measured)");
-  }
-  if (options_.batch_execution && options_.cold_cache_per_iteration) {
-    // The all-cold baseline times the paper-faithful row pipeline; a
-    // vectorized scan would silently change what it measures.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with batch_execution "
-        "(the all-cold baseline measures the row-at-a-time pipeline)");
-  }
-  if (options_.memoize_iterations) {
-    if (options_.memo == nullptr) {
-      return Status::InvalidArgument(
-          "memoize_iterations requires RqlOptions::memo to point at a "
-          "retro::MemoTable");
-    }
-    if (options_.cold_cache_per_iteration) {
-      // Same incompatibility as skip_unchanged_iterations: a memo-replayed
-      // iteration performs no reads, so the all-cold baseline the flag
-      // defines would silently not be measured.
-      return Status::InvalidArgument(
-          "cold_cache_per_iteration is incompatible with "
-          "memoize_iterations (a memo-replayed iteration reads nothing, "
-          "so the all-cold baseline would not be measured)");
-    }
-  }
-  if (options_.shared_scan_cache != nullptr &&
-      options_.cold_cache_per_iteration) {
-    // Pages decoded by any run sharing the store would serve this run's
-    // scans, so the all-cold baseline would silently not be measured.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with shared_scan_cache "
-        "(a store-scoped cache serves pages other runs decoded, so the "
-        "all-cold baseline would not be measured)");
-  }
-  if (options_.async_prefetch && options_.cold_cache_per_iteration) {
-    // A background fetch landing after the per-iteration clear would
-    // silently warm the all-cold baseline the flag defines.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with async_prefetch "
-        "(a background fetch landing after the clear would warm the "
-        "all-cold baseline)");
-  }
-  if (trace_on_) {
-    trace_.Emit(RqlTraceEventType::kRunBegin, retro::kNoSnapshot, NowMicros(),
-                {static_cast<int64_t>(snap_ids.size()),
-                 parallel ? options_.parallel_workers : 1,
-                 OptionFlagBits(options_)});
-  }
-  RQL_RETURN_IF_ERROR(PrepareResultTable(state->table()));
-  if (options_.cold_cache_per_run) {
-    // Cleared before any worker thread is spawned: thread creation gives
-    // the happens-before fence that makes the cold start visible to (and
-    // not raced by) the parallel phase.
-    data_db_->store()->ClearSnapshotCache();
-  }
-  retro::SnapshotStore* store = data_db_->store();
-  store->set_archive_read_retries(options_.archive_read_retries);
-  // Armed for every run: in kDiff mode each archive read reports the
-  // diff-chain depth it walked (always 0 in kFull mode — one bucket).
-  store->set_diff_depth_histogram(
-      metrics()->GetHistogram("rql.pagelog.diff_depth"));
-  sql::ScanCache* run_cache = nullptr;
-  if (options_.shared_scan_cache != nullptr) {
-    // Store-scoped: survives the run (other runs are using it), so no
-    // Clear on either side. Overlapping runs also share SPT builds.
-    run_cache = options_.shared_scan_cache;
-    store->set_share_spt_builds(true);
-  } else if (options_.reuse_decoded_pages) {
-    scan_cache_.Clear();
-    scan_cache_.TakeHits();
-    scan_cache_.TakeMisses();
-    run_cache = &scan_cache_;
-  }
-  if (run_cache != nullptr) data_db_->set_scan_cache(run_cache);
-  if (options_.batch_execution) {
-    data_db_->set_batch_execution(
-        true, metrics()->GetHistogram("rql.batch_size"));
-  }
-  Status s = Status::OK();
-  if (parallel) {
+  RQL_RETURN_IF_ERROR(
+      BeginRun(parallel, static_cast<int64_t>(snap_ids.size())));
+  Status s = PrepareResultTable(state->table());
+  if (s.ok() && parallel) {
     s = RunMechanismParallel(snap_ids, state);
-  } else {
-    // Iteration skipping rides the same snapshot-set session as the
-    // incremental SPT: the session cursor is what surfaces the per-step
-    // Maplog delta. Memoized runs join it too, so a memo probe's snapshot
-    // open plus the execute-on-miss open of the same id cost one SPT
-    // derivation, not two cold builds.
-    bool session = options_.incremental_spt ||
-                   options_.skip_unchanged_iterations ||
-                   options_.memoize_iterations;
-    if (session) store->BeginSnapshotSet();
-    bool saved_batch = store->batch_archive_reads();
-    if (options_.batch_pagelog_reads) store->set_batch_archive_reads(true);
+  } else if (s.ok()) {
+    retro::SnapshotStore* store = data_db_->store();
     if (options_.async_prefetch) {
       retro::PrefetchScheduler::Options popts;
       popts.budget_pages = options_.prefetch_budget_pages;
-      if (options_.shared_scan_cache != nullptr) {
-        // Only the store-scoped cache is a thread-safe probe; the
-        // run-private ScanCache is single-threaded by contract, so with
-        // reuse_decoded_pages alone the planner simply fetches raw pages
-        // the decoded cache may already cover (wasted bandwidth, never
-        // wrong results).
-        sql::SharedScanCache* shared = options_.shared_scan_cache;
-        popts.is_decoded = [shared](uint64_t version) {
-          return shared->Contains(version);
+      if (sql::SharedScanCache* cache = options_.shared_scan_cache) {
+        // A version the cache already holds decoded needs no raw fetch.
+        popts.is_decoded = [cache](uint64_t version) {
+          return cache->Contains(version);
         };
       }
       prefetch_ = std::make_unique<retro::PrefetchScheduler>(store, popts);
@@ -1121,33 +1121,13 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
       }
       prefetch_.reset();
     }
-    store->set_batch_archive_reads(saved_batch);
-    if (session) store->EndSnapshotSet();
   }
-  store->set_archive_read_retries(0);
-  store->set_diff_depth_histogram(nullptr);
-  if (run_cache != nullptr) {
-    data_db_->set_scan_cache(nullptr);
-    // Only the run-private cache is dropped here (releasing the pinned
-    // frames its entries hold); a shared cache keeps serving other runs.
-    if (run_cache == &scan_cache_) scan_cache_.Clear();
-  }
-  if (options_.batch_execution) data_db_->set_batch_execution(false);
   if (s.ok()) s = state->Finish();
-  if (trace_on_) {
-    trace_.Emit(RqlTraceEventType::kRunEnd, retro::kNoSnapshot, NowMicros(),
-                {static_cast<int64_t>(stats_.iterations.size()),
-                 stats_.iterations_skipped, stats_.TotalUs(),
-                 s.ok() ? 1 : 0});
-  }
-  PublishRunMetrics();
-  if (!s.ok()) {
-    // A failed iteration (or Finish) aborts the run with a clean error:
-    // drop the partial result table and its transient index.
-    state->DiscardOnFailure();
-    return s;
-  }
-  return Status::OK();
+  EndRun(s);
+  // A failed iteration (or Finish) aborts the run with a clean error: drop
+  // the partial result table and its transient index.
+  if (!s.ok()) state->DiscardOnFailure();
+  return s;
 }
 
 namespace {
@@ -1314,9 +1294,8 @@ Status RqlEngine::RunMechanismParallel(
         ctx.catalog = &catalog;
         ctx.functions = functions;
         ctx.stats = &exec_stats;
-        // Workers share the run's thread-safe decoded-page cache (the
-        // engine's, or the store-scoped shared cache RunMechanism
-        // attached), so a page version shared across their snapshots
+        // Workers share the run's decoded-page cache (attached by
+        // BeginRun), so a page version shared across their snapshots
         // decodes once.
         ctx.scan_cache = data_db_->scan_cache();
         ctx.batch_execution = options_.batch_execution;
@@ -1466,12 +1445,7 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap,
   // one iteration per SnapIds row.
   if (CancelRequested()) return Status::Aborted("run cancelled");
   retro::SnapshotStore* store = data_db_->store();
-  if (options_.cold_cache_per_iteration) {
-    // Decoded pages pin buffer frames; release them before dropping the
-    // snapshot page cache so the iteration truly starts cold.
-    scan_cache_.Clear();
-    store->ClearSnapshotCache();
-  }
+  if (options_.cold_cache_per_iteration) store->ClearSnapshotCache();
   store->ResetStats();
 
   // Skip probe: advance the snapshot-set cursor — which also primes the
@@ -1936,90 +1910,12 @@ Status RqlEngine::RegisterUdfs() {
   auto begin_run = [this](const std::string& table,
                           auto make_state) -> Result<MechanismState*> {
     if (!udf_run_started_) {
-      if (options_.skip_unchanged_iterations &&
-          options_.cold_cache_per_iteration) {
-        // Same incompatibility RunMechanism rejects: a replayed iteration
-        // reads nothing, falsifying the all-cold baseline.
-        return Status::InvalidArgument(
-            "cold_cache_per_iteration is incompatible with "
-            "skip_unchanged_iterations (a skipped iteration reads "
-            "nothing, so the all-cold baseline would not be measured)");
-      }
-      if (options_.batch_execution && options_.cold_cache_per_iteration) {
-        return Status::InvalidArgument(
-            "cold_cache_per_iteration is incompatible with "
-            "batch_execution (the all-cold baseline measures the "
-            "row-at-a-time pipeline)");
-      }
-      if (options_.memoize_iterations) {
-        if (options_.memo == nullptr) {
-          return Status::InvalidArgument(
-              "memoize_iterations requires RqlOptions::memo to point at "
-              "a retro::MemoTable");
-        }
-        if (options_.cold_cache_per_iteration) {
-          return Status::InvalidArgument(
-              "cold_cache_per_iteration is incompatible with "
-              "memoize_iterations (a memo-replayed iteration reads "
-              "nothing, so the all-cold baseline would not be measured)");
-        }
-      }
-      if (options_.shared_scan_cache != nullptr &&
-          options_.cold_cache_per_iteration) {
-        return Status::InvalidArgument(
-            "cold_cache_per_iteration is incompatible with "
-            "shared_scan_cache (a store-scoped cache serves pages other "
-            "runs decoded, so the all-cold baseline would not be "
-            "measured)");
-      }
-      if (options_.async_prefetch && options_.cold_cache_per_iteration) {
-        return Status::InvalidArgument(
-            "cold_cache_per_iteration is incompatible with "
-            "async_prefetch (a background fetch landing after the clear "
-            "would warm the all-cold baseline)");
-      }
-      stats_ = RqlRunStats{};
-      trace_on_ = options_.trace;
-      int64_t now = NowMicros();
-      trace_.Restart(trace_on_ ? options_.trace_capacity : 0, now);
-      trace_.SetContext(options_.session_id, options_.run_id);
-      if (trace_on_) {
-        // The snapshot count is unknown up front: the driving Qs scan
-        // feeds iterations one UDF call at a time.
-        trace_.Emit(RqlTraceEventType::kRunBegin, retro::kNoSnapshot, now,
-                    {0, 1, OptionFlagBits(options_)});
-      }
-      if (options_.cold_cache_per_run) {
-        data_db_->store()->ClearSnapshotCache();
-      }
-      // UDF-driven runs iterate sequentially inside one Qs scan, so the
-      // same amortization session applies; FinishUdfRuns closes it.
-      if (options_.incremental_spt || options_.skip_unchanged_iterations ||
-          options_.memoize_iterations) {
-        data_db_->store()->BeginSnapshotSet();
-      }
-      if (options_.batch_pagelog_reads) {
-        data_db_->store()->set_batch_archive_reads(true);
-      }
-      if (options_.shared_scan_cache != nullptr) {
-        data_db_->set_scan_cache(options_.shared_scan_cache);
-        data_db_->store()->set_share_spt_builds(true);
-      } else if (options_.reuse_decoded_pages) {
-        scan_cache_.Clear();
-        scan_cache_.TakeHits();
-        data_db_->set_scan_cache(&scan_cache_);
-      }
-      if (options_.batch_execution) {
-        data_db_->set_batch_execution(
-            true, metrics()->GetHistogram("rql.batch_size"));
-      }
-      data_db_->store()->set_archive_read_retries(
-          options_.archive_read_retries);
-      data_db_->store()->set_diff_depth_histogram(
-          metrics()->GetHistogram("rql.pagelog.diff_depth"));
-      // async_prefetch is accepted but inert here: the Qs scan feeds
-      // iterations one UDF call at a time, so there is no lookahead to
-      // schedule against.
+      ResetRun();
+      // The driving Qs scan feeds iterations one UDF call at a time: the
+      // run is sequential, its snapshot count unknown up front, and
+      // async_prefetch is accepted but inert (no lookahead to schedule
+      // against). FinishUdfRuns ends the run.
+      RQL_RETURN_IF_ERROR(BeginRun(/*parallel=*/false, /*snapshots=*/0));
       udf_run_started_ = true;
     }
     auto it = udf_states_.find(table);
@@ -2113,34 +2009,17 @@ Status RqlEngine::RegisterUdfs() {
 }
 
 Status RqlEngine::FinishUdfRuns() {
-  if (udf_run_started_) {
-    if (options_.incremental_spt || options_.skip_unchanged_iterations ||
-        options_.memoize_iterations) {
-      data_db_->store()->EndSnapshotSet();
-    }
-    data_db_->store()->set_batch_archive_reads(false);
-    data_db_->store()->set_archive_read_retries(0);
-    data_db_->store()->set_diff_depth_histogram(nullptr);
-    if (data_db_->scan_cache() != nullptr) {
-      data_db_->set_scan_cache(nullptr);
-      // Run-private cache only; a shared cache keeps serving other runs.
-      if (options_.shared_scan_cache == nullptr) scan_cache_.Clear();
-    }
-    if (options_.batch_execution) data_db_->set_batch_execution(false);
-    if (trace_on_) {
-      trace_.Emit(RqlTraceEventType::kRunEnd, retro::kNoSnapshot,
-                  NowMicros(),
-                  {static_cast<int64_t>(stats_.iterations.size()),
-                   stats_.iterations_skipped, stats_.TotalUs(), 1});
-    }
-    PublishRunMetrics();
-  }
+  Status s = Status::OK();
   for (auto& [table, state] : udf_states_) {
-    RQL_RETURN_IF_ERROR(state->Finish());
+    s = state->Finish();
+    if (!s.ok()) break;
   }
   udf_states_.clear();
-  udf_run_started_ = false;
-  return Status::OK();
+  if (udf_run_started_) {
+    udf_run_started_ = false;
+    EndRun(s);
+  }
+  return s;
 }
 
 }  // namespace rql

@@ -14,7 +14,6 @@
 #include "rql/memo_table.h"
 #include "rql/trace.h"
 #include "sql/database.h"
-#include "sql/scan_cache.h"
 
 namespace rql {
 
@@ -54,20 +53,20 @@ struct RqlIterationStats {
   /// in-flight fetch of the same page (always 0 in sequential runs).
   int64_t coalesced_loads = 0;
   // COW page-sharing exploitation counters (zero at paper-faithful
-  // defaults; see RqlOptions::reuse_decoded_pages /
-  /// skip_unchanged_iterations).
-  /// Scan-path pages served from the run's decoded-page cache: the page
+  // defaults; see RqlOptions::shared_scan_cache /
+  // skip_unchanged_iterations).
+  /// Scan-path pages served from the attached decoded-page cache: the page
   /// version (Pagelog offset) was already fetched and tuple-decoded for an
-  /// earlier snapshot of this run — or, with a store-scoped
-  /// SharedScanCache attached, for any run sharing the store.
+  /// earlier snapshot of this run, or for any other run handed the same
+  /// cache.
   int64_t shared_page_hits = 0;
   /// Scan-path pages the cache could not serve (versioned pages that had
   /// to be fetched and decoded). hits / (hits + misses) is the decode
   /// reuse ratio of the iteration.
   int64_t scan_cache_misses = 0;
-  /// Subset of shared_page_hits served by blocking on another run's
-  /// in-flight decode of the same page version (SharedScanCache
-  /// single-flight). Always 0 with the run-private cache.
+  /// Subset of shared_page_hits served by blocking on another run's (or
+  /// parallel worker's) in-flight decode of the same page version
+  /// (SharedScanCache single-flight).
   int64_t coalesced_decodes = 0;
   /// Size of the Maplog delta (pages whose mapping may differ from the
   /// previous snapshot in the set) examined by the skip decision.
@@ -158,15 +157,15 @@ struct RqlRunStats {
   /// executing Qq (RqlOptions::skip_unchanged_iterations).
   int64_t iterations_skipped = 0;
   /// Run total of decoded-page cache hits
-  /// (RqlOptions::reuse_decoded_pages or shared_scan_cache). Hits are
-  /// attributed from per-execution counters (ExecStats::scan_cache), so
-  /// the total is exact for this run even when the cache is shared by
-  /// concurrent runs or parallel workers.
+  /// (RqlOptions::shared_scan_cache). Hits are attributed from
+  /// per-execution counters (ExecStats::scan_cache), so the total is exact
+  /// for this run even when the cache is shared by concurrent runs or
+  /// parallel workers.
   int64_t shared_page_hits = 0;
   /// Run total of scan-cache misses (versioned pages decoded).
   int64_t scan_cache_misses = 0;
   /// Run total of hits served by waiting on another run's in-flight
-  /// decode (SharedScanCache single-flight; 0 with the private cache).
+  /// decode (SharedScanCache single-flight).
   int64_t coalesced_decodes = 0;
 
   int64_t TotalUs() const {
@@ -223,10 +222,13 @@ struct RqlOptions {
   bool cold_cache_per_run = true;
   /// Clear the snapshot cache before every iteration: the paper's
   /// "all-cold" baseline run, denominator of the ratio C (Section 5.1).
-  /// Incompatible with parallel_workers > 1: concurrent iterations share
-  /// the cache, so per-iteration clearing cannot produce the all-cold
-  /// baseline — mechanisms return InvalidArgument when the combination
-  /// would actually take the parallel path.
+  /// The baseline is the paper's row-at-a-time pipeline reading every
+  /// iteration from an empty cache, so runs reject (InvalidArgument, before
+  /// the result table is touched) every option that would silently
+  /// measure something else: skip_unchanged_iterations, batch_execution,
+  /// memoize_iterations, shared_scan_cache, async_prefetch, and
+  /// parallel_workers > 1 when the run would actually take the parallel
+  /// path (concurrent iterations share the cache).
   bool cold_cache_per_iteration = false;
   /// Drop a pre-existing result table T before a mechanism recreates it.
   bool replace_result_table = true;
@@ -267,15 +269,6 @@ struct RqlOptions {
 
   // --- COW page-sharing exploitation (default off: the paper-faithful
   // --- baseline re-fetches and re-decodes every snapshot from scratch) ----
-  /// Key table pages by their physical version (the Pagelog offset the SPT
-  /// resolves them to) and serve scans from a run-scoped decoded-page
-  /// cache: a page version shared by N snapshots of the set is fetched and
-  /// tuple-decoded once per run instead of N times. Counted in
-  /// RqlIterationStats::shared_page_hits. Composes with parallel runs (the
-  /// cache is thread-safe and shared by the workers) and with
-  /// cold_cache_per_iteration (the decoded cache is dropped each iteration
-  /// along with the snapshot page cache).
-  bool reuse_decoded_pages = false;
   /// Skip whole iterations whose snapshot provably reads the same data as
   /// the previous one: the Maplog delta between consecutive snapshots in
   /// the set (SptCursor::last_delta) is intersected with the page read-set
@@ -284,9 +277,7 @@ struct RqlOptions {
   /// executing Qq. Counted in RqlIterationStats::skipped /
   /// RqlRunStats::iterations_skipped. Sequential runs only (parallel
   /// workers visit snapshots out of order and ignore the flag); requires
-  /// Qq not to use current_snapshot() (detected, skip disabled); rejected
-  /// with InvalidArgument in combination with cold_cache_per_iteration,
-  /// whose all-cold baseline a skipped iteration would falsify.
+  /// Qq not to use current_snapshot() (detected, skip disabled).
   bool skip_unchanged_iterations = false;
   /// Execute Qq batch-at-a-time: eligible sequential scans decode each
   /// pinned page into a RowBatch once and push it through vectorized
@@ -294,14 +285,9 @@ struct RqlOptions {
   /// spine (plans the batch path cannot serve — joins, index access —
   /// silently keep the row path). Results are byte-identical to the row
   /// path. Pays off most on CPU-bound scans and composes with
-  /// reuse_decoded_pages, whose cached decoded pages the batches borrow
+  /// shared_scan_cache, whose cached decoded pages the batches borrow
   /// zero-copy. Counted in RqlIterationStats::batches_scanned /
   /// batch_rows / batch_fallback_rows and the "rql.batch_size" histogram.
-  /// Rejected with InvalidArgument in combination with
-  /// cold_cache_per_iteration: that all-cold baseline measures the
-  /// paper-faithful row pipeline, and a vectorized scan would silently
-  /// change what the baseline times (the skip_unchanged_iterations
-  /// precedent).
   bool batch_execution = false;
   /// Memoize per-iteration Qq results *across runs* (and across engines
   /// sharing one table) in the persistent retro::MemoTable pointed to by
@@ -317,35 +303,29 @@ struct RqlOptions {
   /// and the UDF form; unlike the intra-run skipper it is sound for Qq
   /// using current_snapshot() (entries are keyed per snapshot). Counted in
   /// RqlIterationStats::memo_hits / memo_misses / memo_bytes /
-  /// memo_evictions and traced as kMemoHit. Requires `memo` non-null;
-  /// rejected with InvalidArgument in combination with
-  /// cold_cache_per_iteration (a memo-replayed iteration reads nothing, so
-  /// the all-cold baseline would not be measured — the
-  /// skip_unchanged_iterations precedent).
+  /// memo_evictions and traced as kMemoHit. Requires `memo` non-null.
   bool memoize_iterations = false;
   /// The memo table memoize_iterations consults and publishes into. Owned
   /// by the caller; shareable by any number of engines (publishes are
   /// first-publish-wins). Must live and die with the data database's
   /// files (see MemoTable::Open).
   retro::MemoTable* memo = nullptr;
-  /// Store-scoped decoded-page cache shared by every run (and engine)
-  /// attached to the same SnapshotStore: page versions are keyed by their
-  /// Pagelog offset — immutable and globally unique within a store — so
-  /// N overlapping runs fetch and tuple-decode each unique version once,
-  /// with concurrent racers coalescing onto a single in-flight decode
-  /// (single-flight, the BufferPool coalesced-load discipline one layer
-  /// up). Owned by the caller; must outlive every engine using it and be
-  /// used with one store only. Takes precedence over the run-private
-  /// cache of reuse_decoded_pages (which it subsumes); results are
-  /// byte-identical to running with no cache. Enables cross-run SPT-build
-  /// sharing on the store (SnapshotStore::set_share_spt_builds). Counted
-  /// in RqlIterationStats::shared_page_hits / scan_cache_misses /
+  /// Decoded-page cache the run's scans consult: table pages are keyed by
+  /// their physical version (the Pagelog offset the SPT resolves them to,
+  /// immutable and globally unique within a store), so a page version
+  /// shared by N snapshots is fetched and tuple-decoded once instead of N
+  /// times, with concurrent racers (parallel workers, overlapping runs)
+  /// coalescing onto a single in-flight decode. Hand each run its own
+  /// instance for run-private reuse, or every engine over one store the
+  /// same instance to share decodes across runs; cross-run SPT-build
+  /// sharing is the store owner's separate choice
+  /// (SnapshotStore::set_share_spt_builds). Owned by the caller; must
+  /// outlive every run using it and be used with one store only. Results
+  /// are byte-identical to running with no cache. Counted in
+  /// RqlIterationStats::shared_page_hits / scan_cache_misses /
   /// coalesced_decodes, surfaced as rql.scan_cache.* metrics, and traced
-  /// in kScanCache events. Invalidated conservatively by
-  /// TruncateHistory (entries a live run still holds stay alive through
-  /// their shared_ptr). Rejected with InvalidArgument in combination with
-  /// cold_cache_per_iteration: a cross-run cache would falsify the
-  /// all-cold baseline (the skip_unchanged_iterations precedent).
+  /// in kScanCache events. Invalidated conservatively by TruncateHistory
+  /// (entries a live run still holds stay alive through their shared_ptr).
   sql::SharedScanCache* shared_scan_cache = nullptr;
   /// Overlap each iteration's archive I/O with the previous iteration's
   /// query execution: while Qq runs on snapshot s_i, a background
@@ -360,11 +340,7 @@ struct RqlOptions {
   /// returned. Results are byte-identical on and off. Sequential runs
   /// only (parallel workers fetch concurrently already; the UDF form has
   /// no lookahead — both ignore the flag). Counted in
-  /// RqlIterationStats::prefetch_* and traced as kPrefetch. Rejected with
-  /// InvalidArgument in combination with cold_cache_per_iteration: a
-  /// background fetch landing after the per-iteration clear would
-  /// silently warm the all-cold baseline (the skip_unchanged_iterations
-  /// precedent).
+  /// RqlIterationStats::prefetch_* and traced as kPrefetch.
   bool async_prefetch = false;
   /// Max pages the pipeline fetches ahead per iteration; 0 = unbounded.
   /// Bounds background read amplification and snapshot-cache churn.
@@ -531,6 +507,23 @@ class RqlEngine {
   /// iterates the state over every snapshot id.
   Status RunMechanism(const std::string& qs, MechanismState* state);
 
+  /// Clears the run stats and restarts the trace ring for a new run.
+  void ResetRun();
+
+  /// InvalidArgument naming the conflicting option when the options cannot
+  /// run together (`parallel`: the run would take the parallel path).
+  Status ValidateRunOptions(bool parallel) const;
+
+  /// The run lifecycle shared by the programmatic and UDF forms. BeginRun
+  /// validates the options and, on success, attaches the run's machinery:
+  /// the decoded-page cache and batch execution on the data database;
+  /// archive-read retries, the diff-depth histogram, batched archive reads
+  /// and the snapshot-set session on the store. Every successful BeginRun
+  /// is paired with one EndRun, which restores all of it, traces kRunEnd
+  /// and publishes the run's metrics.
+  Status BeginRun(bool parallel, int64_t snapshots);
+  void EndRun(const Status& status);
+
   /// Parallel variant: Qq evaluated concurrently, results replayed through
   /// the state sequentially in Qs order.
   Status RunMechanismParallel(const std::vector<retro::SnapshotId>& snaps,
@@ -581,10 +574,9 @@ class RqlEngine {
   /// latches the flag for the current run so emission sites stay cheap.
   RqlTrace trace_;
   bool trace_on_ = false;
-  /// Run-scoped decoded-page cache (reuse_decoded_pages); attached to the
-  /// data database (and to parallel worker contexts) for the duration of a
-  /// run and cleared when the run ends.
-  sql::ScanCache scan_cache_;
+  /// What BeginRun changed on the store, for EndRun to restore.
+  bool saved_batch_archive_reads_ = false;
+  bool session_open_ = false;
   /// Background archive-read pipeline (async_prefetch); created at the
   /// head of a sequential run, shut down and destroyed before the run
   /// returns (workers never outlive the run's store/Env use).

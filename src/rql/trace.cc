@@ -1,5 +1,7 @@
 #include "rql/trace.h"
 
+#include <algorithm>
+
 namespace rql {
 
 RqlTrace::RqlTrace(const RqlTrace& other) {
@@ -58,6 +60,12 @@ void RqlTrace::Emit(RqlTraceEventType type, retro::SnapshotId snapshot,
   if (capacity_ == 0) return;
   RqlTraceEvent ev;
   ev.t_us = now_us - t0_us_;
+  if (emitted_ > 0) {
+    // Parallel workers stamp events before taking the lock, so a racing
+    // worker's later stamp can reach the ring first: keep the timeline
+    // non-decreasing in ring order.
+    ev.t_us = std::max(ev.t_us, ring_[(emitted_ - 1) % capacity_].t_us);
+  }
   ev.snapshot = snapshot;
   ev.type = type;
   ev.worker = worker;

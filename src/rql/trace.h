@@ -14,7 +14,7 @@ namespace rql {
 ///
 ///   kRunBegin        {snapshot_count, workers, flags_bits, 0, 0, 0}
 ///                    flags_bits: 1=incremental_spt 2=reuse_qq_plan
-///                    4=batch_pagelog_reads 8=reuse_decoded_pages
+///                    4=batch_pagelog_reads 8=(retired, never set)
 ///                    16=skip_unchanged_iterations 32=batch_execution
 ///                    64=memoize_iterations 128=shared_scan_cache
 ///                    256=async_prefetch
@@ -30,7 +30,7 @@ namespace rql {
 ///   kScanCache       {shared_page_hits, misses, coalesced_decodes, 0, 0, 0}
 ///                    — coalesced_decodes is the subset of hits served by
 ///                    waiting on another run's in-flight decode
-///                    (shared_scan_cache single-flight; 0 otherwise)
+///                    (shared_scan_cache single-flight)
 ///   kIterationSkip   {index_in_run, delta_pages_scanned, replayed_rows,
 ///                     udf_us, 0, 0}  — replay of a provably unchanged
 ///                    iteration (skip_unchanged_iterations)
@@ -61,8 +61,10 @@ enum class RqlTraceEventType : uint8_t {
 };
 
 /// One fixed-size trace record. `t_us` is relative to the enclosing run's
-/// start; `worker` is 0 for the coordinating thread and 1-based for
-/// parallel workers; `snapshot` is kNoSnapshot for run-scoped events.
+/// start and non-decreasing in ring order (an event stamped just before a
+/// racing worker's is clamped up to it); `worker` is 0 for the
+/// coordinating thread and 1-based for parallel workers; `snapshot` is
+/// kNoSnapshot for run-scoped events.
 struct RqlTraceEvent {
   int64_t t_us = 0;
   retro::SnapshotId snapshot = retro::kNoSnapshot;

@@ -60,18 +60,29 @@ Status RunScheduler::Wait(Ticket* ticket) {
 }
 
 void RunScheduler::Complete(const std::shared_ptr<Ticket>& ticket,
-                            Status status) {
+                            Status status, bool dispatched, int reserved) {
   {
     std::lock_guard<std::mutex> lock(ticket->mu);
-    ticket->done = true;
     ticket->status = std::move(status);
   }
-  ticket->finished.store(true, std::memory_order_release);
-  ticket->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (dispatched) {
+      workers_avail_ += reserved;
+      --active_count_;
+      running_.erase(ticket->session_id);
+    }
+    completed_.fetch_add(1, std::memory_order_relaxed);
+  }
   // Before the inflight decrement: CancelSession must not return while a
   // completion callback still references the submitter's connection.
   if (ticket->on_complete) ticket->on_complete(*ticket);
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(ticket->mu);
+    ticket->done = true;
+  }
+  ticket->finished.store(true, std::memory_order_release);
+  ticket->cv.notify_all();
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = inflight_.find(ticket->session_id);
@@ -124,12 +135,11 @@ void RunScheduler::DispatchLoop() {
 
     lock.unlock();
     Status status = pending.fn(ticket.get());
-    Complete(ticket, std::move(status));
+    Complete(ticket, std::move(status), /*dispatched=*/true, reserved);
     lock.lock();
 
-    workers_avail_ += reserved;
-    --active_count_;
-    running_.erase(sid);
+    // The session stays busy until its completion callback has run, so
+    // its next run never overtakes this one's notification.
     auto it = sessions_.find(sid);
     if (it != sessions_.end()) {
       it->second.busy = false;

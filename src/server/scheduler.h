@@ -75,10 +75,11 @@ class RunScheduler {
     std::atomic<bool> finished{false};
     /// Invoked exactly once when the run completes — whether the body
     /// executed, the run was reaped while queued (cancel), or it was
-    /// drained at shutdown. Runs after `status`/`done` are set and
-    /// before CancelSession can observe the run as gone, so a callback
-    /// that notifies the submitting connection never outlives it. Called
-    /// with no scheduler lock held.
+    /// drained at shutdown. Runs after `status` is set and the scheduler's
+    /// counters have settled, before `done` wakes Wait()ers, and before
+    /// CancelSession can observe the run as gone, so a callback that
+    /// notifies the submitting connection never outlives it. Called with
+    /// no scheduler lock held.
     std::function<void(const Ticket&)> on_complete;
   };
 
@@ -135,9 +136,15 @@ class RunScheduler {
   };
 
   void DispatchLoop();
-  /// Completes a ticket and updates per-session inflight accounting.
-  /// Call without `mu_` held (takes the ticket lock).
-  void Complete(const std::shared_ptr<Ticket>& ticket, Status status);
+  /// Completes a ticket. Everything the run held settles first: the
+  /// `completed()` count and, for a dispatched run, its active slot, its
+  /// `running_` entry and its `reserved` workers. Then on_complete runs,
+  /// then `done` wakes Wait()ers — so a waiter never sees its run finished
+  /// while the counters still show it in flight — and last the session's
+  /// inflight count drops, releasing CancelSession. Call without `mu_`
+  /// held.
+  void Complete(const std::shared_ptr<Ticket>& ticket, Status status,
+                bool dispatched = false, int reserved = 0);
 
   const Options options_;
   mutable std::mutex mu_;

@@ -61,8 +61,9 @@ struct ServerOptions {
   int64_t idle_timeout_us = 0;
   /// Base RqlOptions for session engines. The server injects
   /// shared_scan_cache, metrics, session_id and the per-run cancel/run_id
-  /// wiring itself; everything else (reuse_decoded_pages,
-  /// batch_execution, incremental_spt, ...) is taken as configured here.
+  /// wiring itself, and enables cross-run SPT-build sharing on the store
+  /// it owns; everything else (batch_execution, incremental_spt, ...) is
+  /// taken as configured here.
   RqlOptions engine;
   /// Receives the server gauges (server.active_sessions,
   /// server.queued_runs, server.active_runs, server.admission_rejects,

@@ -5,14 +5,14 @@
 #include <memory>
 #include <vector>
 
-#include "sql/scan_cache.h"
+#include "sql/decoded_page.h"
 #include "sql/value.h"
 
 namespace rql::sql {
 
 /// One heap page's worth of decoded rows, handed to the executor as a
 /// unit. The batch does not own the row storage: `rows` points into a
-/// ScanCache::DecodedPage and `page` keeps that entry (and, through its
+/// DecodedPage and `page` keeps that entry (and, through its
 /// PinnedPage, the raw record bytes any text values were decoded from)
 /// alive for as long as the batch is held. Batches built from shared
 /// cache entries therefore borrow the decoded values zero-copy — the
@@ -24,10 +24,10 @@ namespace rql::sql {
 /// order. A freshly produced batch has an empty selection; consumers
 /// initialize it to the identity and narrow it with each predicate.
 struct RowBatch {
-  /// Lifetime anchor for `rows`. Either a ScanCache entry (shared,
+  /// Lifetime anchor for `rows`. Either a SharedScanCache entry (shared,
   /// version-keyed) or a batch-private decoded page for unversioned
   /// pages; the executor never needs to distinguish the two.
-  std::shared_ptr<const ScanCache::DecodedPage> page;
+  std::shared_ptr<const DecodedPage> page;
   const Row* rows = nullptr;
   uint32_t size = 0;
   std::vector<uint32_t> selection;

@@ -12,11 +12,16 @@
 #include <vector>
 
 #include "common/cleanup.h"
-#include "sql/scan_cache.h"
+#include "sql/decoded_page.h"
 
 namespace rql::sql {
 
-/// A store-scoped decoded-page cache shared by concurrent RQL runs.
+/// The engine's decoded-page cache, shared by every RQL run it is handed
+/// to. Scans consult it for pages the reader can version, so a page
+/// version shared by N snapshots is fetched, slot-walked and tuple-decoded
+/// once instead of N times. A caller wanting run-private reuse simply
+/// hands each run its own instance; a daemon hands every session one
+/// store-scoped instance.
 ///
 /// The key is the page *version*: the Pagelog offset the snapshot page
 /// table resolves a (page, snapshot) pair to. Within one Pagelog
@@ -28,7 +33,7 @@ namespace rql::sql {
 /// Pagelog and rebases offsets, starting a new generation; see
 /// OnTruncateHistory below.)
 ///
-/// Store scope needs three things run scope never did:
+/// Sharing across runs and threads takes three things:
 ///
 ///  * A byte budget with segmented-LRU eviction. New entries land in a
 ///    probationary segment and are promoted to a protected segment on
@@ -50,7 +55,7 @@ namespace rql::sql {
 /// Sharded like BufferPool so concurrent runs on different versions do
 /// not contend; LRU order is approximate across the cache, exact within
 /// a shard.
-class SharedScanCache : public ScanCache {
+class SharedScanCache {
  public:
   struct Options {
     /// Budget across all shards; 0 = unbounded (never evicts).
@@ -73,11 +78,25 @@ class SharedScanCache : public ScanCache {
     uint64_t entries = 0;
   };
 
+  /// Result of Acquire(): either a published entry (`page` non-null), a
+  /// decode claim (`claimed` — the caller MUST follow up with Insert or
+  /// AbandonDecode for the same version), or neither (an in-flight decode
+  /// the caller waited on was abandoned; fall through to a plain,
+  /// uncached read).
+  struct AcquireResult {
+    std::shared_ptr<const DecodedPage> page;
+    bool claimed = false;
+    bool coalesced = false;  // hit was served by waiting on a decode
+  };
+
   SharedScanCache() : SharedScanCache(Options()) {}
   explicit SharedScanCache(Options options);
-  ~SharedScanCache() override;
+  ~SharedScanCache();
+  SharedScanCache(const SharedScanCache&) = delete;
+  SharedScanCache& operator=(const SharedScanCache&) = delete;
 
-  std::shared_ptr<const DecodedPage> Lookup(uint64_t version) override;
+  /// The cached entry for `version`, or nullptr.
+  std::shared_ptr<const DecodedPage> Lookup(uint64_t version);
 
   /// True when `version` is resident right now. A pure probe — no stats,
   /// no LRU touch, no waiting on in-flight decodes — for a background
@@ -89,21 +108,23 @@ class SharedScanCache : public ScanCache {
   /// claims the decode for this caller; a version another thread is
   /// already decoding blocks until that decode publishes (coalesced hit)
   /// or abandons (fall through to an uncached read).
-  AcquireResult Acquire(uint64_t version) override;
+  AcquireResult Acquire(uint64_t version);
 
   /// Publishes and releases the claim on `version`, waking every waiter
   /// with the entry. Evicts least-recently-used probationary entries if
   /// the shard runs over budget.
   std::shared_ptr<const DecodedPage> Insert(
-      uint64_t version, std::shared_ptr<const DecodedPage> page) override;
+      uint64_t version, std::shared_ptr<const DecodedPage> page);
 
   /// Releases the claim on `version` without publishing (the fetch or
   /// decode failed); waiters are woken empty-handed and fall back to
   /// plain uncached reads.
-  void AbandonDecode(uint64_t version) override;
+  void AbandonDecode(uint64_t version);
 
-  void Clear() override;
-  uint64_t size() const override;
+  /// Drops every entry (and the pins it holds; entries a scan still
+  /// holds stay alive through their shared_ptr).
+  void Clear();
+  uint64_t size() const;
 
   /// TruncateHistory invalidation hook (conservative, like
   /// MemoTable::InvalidateBelow): offsets at or above the rewrite are
@@ -204,7 +225,7 @@ class SharedScanCache : public ScanCache {
 
   std::atomic<uint64_t> bytes_{0};
   std::atomic<int64_t> shared_hits_{0};
-  std::atomic<int64_t> misses_{0};  // shadows (private) base counter
+  std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> coalesced_{0};
   std::atomic<int64_t> inserts_{0};
   std::atomic<int64_t> abandons_{0};

@@ -13,7 +13,7 @@
 #include "rql/aggregates.h"
 #include "rql/rql.h"
 #include "sql/heap_table.h"
-#include "sql/scan_cache.h"
+#include "sql/shared_scan_cache.h"
 #include "storage/env.h"
 
 namespace rql {
@@ -37,7 +37,7 @@ struct Fixture {
 /// (items 50000..) every 2*`live_period`-th, and a `churn` side table
 /// changes every snapshot. Post-load mutations are in-place UPDATEs and
 /// DELETEs only, so unchanged pages keep their shared versions — the
-/// shape where reuse_decoded_pages and skip_unchanged_iterations bite,
+/// shape where a decoded-page cache and skip_unchanged_iterations bite,
 /// and where a batch borrows cached decoded pages zero-copy.
 Fixture MakeSparseFixture(uint64_t seed, int snapshots, int items,
                           int live_period) {
@@ -182,8 +182,9 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
        }},
   };
 
-  // The property test's flag matrix, plus the flags-off config, crossed
-  // with {row, batch} and {1, 4} workers below.
+  // The property test's flag matrix, plus the flags-off and all-cold
+  // configs, crossed with {row, batch} and {1, 4} workers below. `reuse`
+  // hands every run its own decoded-page cache.
   struct Config {
     const char* name;
     bool reuse, skip, amort, cold_iter;
@@ -194,7 +195,7 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
       {"skip", false, true, false, false},
       {"both", true, true, false, false},
       {"both_amortized", true, true, true, false},
-      {"reuse_cold_iter", true, false, false, true},
+      {"cold_iter", false, false, false, true},
       {"amortized_only", false, false, true, false},
   };
 
@@ -209,8 +210,9 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
     for (const Config& c : kConfigs) {
       for (int workers : {1, 4}) {
         for (bool batch : {false, true}) {
+          sql::SharedScanCache run_cache;
           RqlOptions opts;
-          opts.reuse_decoded_pages = c.reuse;
+          if (c.reuse) opts.shared_scan_cache = &run_cache;
           opts.skip_unchanged_iterations = c.skip;
           opts.incremental_spt = c.amort;
           opts.reuse_qq_plan = c.amort;
@@ -311,7 +313,7 @@ class BatchIteratorTest : public ::testing::Test {
   /// Collects all (id, v) pairs a batch scan yields, asserting batches
   /// are never empty and selection vectors start as identity.
   std::vector<std::pair<int64_t, int64_t>> CollectBatches(
-      storage::PageReader* reader, sql::ScanCache* cache,
+      storage::PageReader* reader, sql::SharedScanCache* cache,
       const std::function<void(int)>& per_batch = nullptr) {
     std::vector<std::pair<int64_t, int64_t>> out;
     int batch_index = 0;
@@ -373,10 +375,11 @@ TEST_F(BatchIteratorTest, SkipsFullyDeletedPages) {
 }
 
 TEST_F(BatchIteratorTest, BatchSurvivesMidScanCacheEviction) {
-  // Snapshot pages are versioned, so the scan pins entries in the shared
-  // ScanCache. Clearing the cache mid-scan must not invalidate the batch
-  // in hand: it owns the decoded page via shared_ptr, so its (zero-copy)
-  // values stay readable and iteration continues over the remaining pages.
+  // Snapshot pages are versioned, so the scan pins entries in the
+  // decoded-page cache. Clearing the cache mid-scan must not invalidate
+  // the batch in hand: it owns the decoded page via shared_ptr, so its
+  // (zero-copy) values stay readable and iteration continues over the
+  // remaining pages.
   ASSERT_TRUE(data_->Exec("BEGIN").ok());
   ASSERT_TRUE(data_->Exec("UPDATE t SET v = v + 1 WHERE id = 0").ok());
   auto snap = engine_->CommitWithSnapshot("s1");
@@ -390,7 +393,7 @@ TEST_F(BatchIteratorTest, BatchSurvivesMidScanCacheEviction) {
   ASSERT_TRUE(view.ok());
   auto baseline = CollectRows(view->get());
 
-  sql::ScanCache cache;
+  sql::SharedScanCache cache;
   auto evicting = CollectBatches(view->get(), &cache,
                                  [&](int batch_index) {
                                    if (batch_index == 0) cache.Clear();

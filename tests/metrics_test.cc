@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "rql/rql.h"
+#include "sql/shared_scan_cache.h"
 
 namespace rql {
 namespace {
@@ -285,11 +286,12 @@ TEST_F(EngineMetricsTest, CollateDataIntoIntervalsDeltaMatchesLegacyStats) {
 }
 
 TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
+  sql::SharedScanCache run_cache;
   RqlOptions* opts = engine_->mutable_options();
   opts->incremental_spt = true;
   opts->reuse_qq_plan = true;
   opts->batch_pagelog_reads = true;
-  opts->reuse_decoded_pages = true;
+  opts->shared_scan_cache = &run_cache;
   opts->skip_unchanged_iterations = true;
   opts->batch_execution = true;
   ExpectDeltaMatchesStats([this] {

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "rql/rql.h"
 #include "sql/database.h"
+#include "sql/shared_scan_cache.h"
 #include "storage/env.h"
 
 namespace rql {
@@ -176,6 +178,74 @@ TEST_F(RqlErrorPathsTest, MemoizeIncompatibleWithColdCachePerIteration) {
                                   "SELECT k FROM t", "Result");
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_FALSE(TableExists("Result"));
+  // Validation fires before any iteration: the memo stayed empty.
+  EXPECT_EQ((*memo)->entry_count(), 0u);
+}
+
+TEST_F(RqlErrorPathsTest, ColdCachePerIterationConflictsRejectedInBothForms) {
+  // The all-cold baseline is one mode: every option that would silently
+  // change what it measures is rejected up front by the programmatic and
+  // the UDF form alike, naming the conflicting option and leaving the
+  // metadata database untouched. The UDF form is always sequential, so
+  // only the programmatic form can conflict through parallel workers.
+  auto memo = retro::MemoTable::Open(&env_, "memo");
+  ASSERT_TRUE(memo.ok()) << memo.status().ToString();
+  sql::SharedScanCache cache;
+  struct Conflict {
+    const char* option;
+    std::function<void(RqlOptions*)> set;
+    bool udf_form;
+  };
+  const Conflict conflicts[] = {
+      {"skip_unchanged_iterations",
+       [](RqlOptions* o) { o->skip_unchanged_iterations = true; }, true},
+      {"batch_execution", [](RqlOptions* o) { o->batch_execution = true; },
+       true},
+      {"memoize_iterations",
+       [&](RqlOptions* o) {
+         o->memoize_iterations = true;
+         o->memo = memo->get();
+       },
+       true},
+      {"shared_scan_cache",
+       [&](RqlOptions* o) { o->shared_scan_cache = &cache; }, true},
+      {"async_prefetch", [](RqlOptions* o) { o->async_prefetch = true; },
+       true},
+      {"parallel_workers", [](RqlOptions* o) { o->parallel_workers = 4; },
+       false},
+  };
+
+  ASSERT_TRUE(engine_->RegisterUdfs().ok());
+  Ok(meta_.get(), "CREATE TABLE Result (marker TEXT)");
+  Ok(meta_.get(), "INSERT INTO Result VALUES ('keep me')");
+  auto expect_rejected = [&](const Status& s, const std::string& label,
+                             const char* option) {
+    EXPECT_TRUE(s.IsInvalidArgument()) << label << ": " << s.ToString();
+    EXPECT_NE(s.ToString().find(option), std::string::npos)
+        << label << ": " << s.ToString();
+    auto r = meta_->Query("SELECT marker FROM Result");
+    ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u) << label;
+    EXPECT_EQ(r->rows[0][0].text(), "keep me") << label;
+    EXPECT_TRUE(engine_->last_run_stats().iterations.empty()) << label;
+    EXPECT_EQ(data_->scan_cache(), nullptr) << label;
+  };
+  for (const Conflict& c : conflicts) {
+    RqlOptions opts;
+    opts.cold_cache_per_iteration = true;
+    c.set(&opts);
+    *engine_->mutable_options() = opts;
+
+    Status s = engine_->CollateData("SELECT snap_id FROM SnapIds",
+                                    "SELECT k FROM t", "Result");
+    expect_rejected(s, std::string("programmatic/") + c.option, c.option);
+    if (!c.udf_form) continue;
+    s = meta_->Exec(
+        "SELECT CollateData(snap_id, 'SELECT k FROM t', 'Result') "
+        "FROM SnapIds");
+    EXPECT_TRUE(engine_->FinishUdfRuns().ok()) << c.option;
+    expect_rejected(s, std::string("udf/") + c.option, c.option);
+  }
   // Validation fires before any iteration: the memo stayed empty.
   EXPECT_EQ((*memo)->entry_count(), 0u);
 }

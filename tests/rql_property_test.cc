@@ -506,12 +506,12 @@ TEST_P(RqlPropertyTest, TransientPagelogFaultsWithRetriesAreTransparent) {
 }
 
 TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
-  // reuse_decoded_pages and skip_unchanged_iterations are pure
-  // optimizations: on a sparse-update history every mechanism's result
-  // table must be byte-identical with any combination of the flags —
-  // alone, together, stacked on the iteration-setup amortization flags,
-  // under a per-iteration cold cache, and (for parallelizable mechanisms)
-  // under parallel workers. AggregateDataInVariable uses the
+  // A decoded-page cache (`reuse`: every run gets its own instance) and
+  // skip_unchanged_iterations are pure optimizations: on a sparse-update
+  // history every mechanism's result table must be byte-identical with
+  // any combination of the two — alone, together, stacked on the
+  // iteration-setup amortization flags, and (for parallelizable
+  // mechanisms) under parallel workers. AggregateDataInVariable uses the
   // non-idempotent `sum` fold so a replayed iteration that contributed
   // twice (or not at all) would be caught.
   Fixture f = MakeSparseFixture(GetParam() * 1000 + 173, 24, 8, 4);
@@ -596,16 +596,15 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
 
   struct Config {
     const char* name;
-    bool reuse, skip, amort, cold_iter;
+    bool reuse, skip, amort;
     int workers;
   };
   const Config kConfigs[] = {
-      {"reuse", true, false, false, false, 1},
-      {"skip", false, true, false, false, 1},
-      {"both", true, true, false, false, 1},
-      {"both_amortized", true, true, true, false, 1},
-      {"reuse_cold_iter", true, false, false, true, 1},
-      {"both_parallel", true, true, false, false, 4},
+      {"reuse", true, false, false, 1},
+      {"skip", false, true, false, 1},
+      {"both", true, true, false, 1},
+      {"both_amortized", true, true, true, 1},
+      {"both_parallel", true, true, false, 4},
   };
 
   for (const Mech& m : mechs) {
@@ -623,13 +622,13 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
     std::vector<std::string> baseline = dump(base_table);
 
     for (const Config& c : kConfigs) {
+      sql::SharedScanCache run_cache;
       RqlOptions opts;
-      opts.reuse_decoded_pages = c.reuse;
+      if (c.reuse) opts.shared_scan_cache = &run_cache;
       opts.skip_unchanged_iterations = c.skip;
       opts.incremental_spt = c.amort;
       opts.reuse_qq_plan = c.amort;
       opts.batch_pagelog_reads = c.amort;
-      opts.cold_cache_per_iteration = c.cold_iter;
       opts.parallel_workers = c.workers;
       // Options are replaced wholesale above, so the registry has to be
       // re-installed for every configuration.
@@ -645,8 +644,8 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
       const RqlRunStats& stats = f.engine->last_run_stats();
       // Live changes every 4th snapshot only: the three quiet iterations
       // of each period must skip, and versions shared across the set must
-      // hit the decoded-page cache (unless it is dropped per iteration).
-      if (c.reuse && !c.cold_iter) {
+      // hit the decoded-page cache.
+      if (c.reuse) {
         EXPECT_GT(stats.shared_page_hits, 0) << table;
       }
       if (c.skip && !stats.parallel) {
@@ -683,10 +682,12 @@ TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
   ASSERT_TRUE(f.engine->CollateData(qs, qq, "Baseline").ok());
   std::vector<std::string> baseline = dump("Baseline");
 
+  sql::SharedScanCache run_cache;
   f.engine->mutable_options()->skip_unchanged_iterations = true;
-  f.engine->mutable_options()->reuse_decoded_pages = true;
+  f.engine->mutable_options()->shared_scan_cache = &run_cache;
   f.data->store()->ClearSnapshotCache();
   ASSERT_TRUE(f.engine->CollateData(qs, qq, "Flagged").ok());
+  f.engine->mutable_options()->shared_scan_cache = nullptr;
   EXPECT_EQ(dump("Flagged"), baseline);
   EXPECT_EQ(f.engine->last_run_stats().iterations_skipped, 0);
 }
@@ -793,10 +794,11 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       auto memo = retro::MemoTable::Open(
           f.env.get(), std::string("memo_") + m.name + "_" + c.name);
       ASSERT_TRUE(memo.ok()) << memo.status().ToString();
+      sql::SharedScanCache run_cache;
       RqlOptions opts;
       opts.memoize_iterations = true;
       opts.memo = memo->get();
-      opts.reuse_decoded_pages = c.reuse;
+      if (c.reuse) opts.shared_scan_cache = &run_cache;
       opts.skip_unchanged_iterations = c.skip;
       opts.batch_execution = c.batch;
       opts.parallel_workers = c.workers;

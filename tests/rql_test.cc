@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+
+#include "sql/shared_scan_cache.h"
 
 namespace rql {
 namespace {
@@ -624,6 +627,89 @@ TEST_F(RqlLoggedInTest, UdfFormEmitsTrace) {
   EXPECT_EQ(events.front().type, RqlTraceEventType::kRunBegin);
   EXPECT_EQ(events.back().type, RqlTraceEventType::kRunEnd);
   EXPECT_EQ(events.back().args[0], 3);  // three UDF-driven iterations
+}
+
+TEST_F(RqlLoggedInTest, RunLifecycleRestoresDatabaseAndStoreState) {
+  // Every run, whichever form drives it and however it ends, must leave
+  // the data database and the store as it found them: no decoded-page
+  // cache or batch execution attached, no snapshot-set session open,
+  // batched archive reads and retries restored, and the store owner's
+  // SPT-sharing switch untouched.
+  std::atomic<bool> cancel{false};
+  data_->RegisterFunction(
+      "raise_cancel", 0, 0,
+      [&cancel](const std::vector<Value>&) -> Result<Value> {
+        cancel.store(true);
+        return Value::Integer(1);
+      });
+  ASSERT_TRUE(engine_->RegisterUdfs().ok());
+  retro::SnapshotStore* store = data_->store();
+
+  const char* kOk = "SELECT l_userid FROM LoggedIn";
+  const char* kFails = "SELECT no_such_column FROM LoggedIn";
+  // The first iteration raises the cancel flag; the next iteration head
+  // (or, with two workers, the claim of the third snapshot) aborts.
+  const char* kCancels = "SELECT raise_cancel() AS c FROM LoggedIn";
+  struct Case {
+    const char* name;
+    bool udf;
+    int workers;
+    const char* qq;
+    bool expect_ok;
+  };
+  const Case cases[] = {
+      {"programmatic", false, 1, kOk, true},
+      {"udf", true, 1, kOk, true},
+      {"parallel", false, 2, kOk, true},
+      {"failed", false, 1, kFails, false},
+      {"failed_udf", true, 1, kFails, false},
+      {"failed_parallel", false, 2, kFails, false},
+      {"cancelled", false, 1, kCancels, false},
+      {"cancelled_udf", true, 1, kCancels, false},
+      {"cancelled_parallel", false, 2, kCancels, false},
+  };
+  for (const Case& c : cases) {
+    for (bool with_cache : {false, true}) {
+      for (bool prior_batch : {false, true}) {
+        const std::string label = std::string(c.name) +
+                                  (with_cache ? "/cache" : "/no_cache") +
+                                  (prior_batch ? "/batched" : "/unbatched");
+        sql::SharedScanCache cache;
+        RqlOptions opts;
+        opts.incremental_spt = true;
+        opts.batch_pagelog_reads = true;
+        opts.batch_execution = true;
+        opts.archive_read_retries = 2;
+        opts.parallel_workers = c.workers;
+        opts.cancel = &cancel;
+        opts.shared_scan_cache = with_cache ? &cache : nullptr;
+        *engine_->mutable_options() = opts;
+        cancel.store(false);
+        store->set_batch_archive_reads(prior_batch);
+        const bool prior_share = store->share_spt_builds();
+
+        Status s;
+        if (c.udf) {
+          s = meta_->Exec(std::string("SELECT CollateData(snap_id, '") +
+                          c.qq + "', 'Out') FROM SnapIds");
+          Status finish = engine_->FinishUdfRuns();
+          if (s.ok()) s = finish;
+        } else {
+          s = engine_->CollateData("SELECT snap_id FROM SnapIds", c.qq,
+                                   "Out");
+        }
+        EXPECT_EQ(s.ok(), c.expect_ok) << label << ": " << s.ToString();
+        EXPECT_EQ(data_->scan_cache(), nullptr) << label;
+        EXPECT_FALSE(data_->batch_execution()) << label;
+        EXPECT_FALSE(store->snapshot_set_active()) << label;
+        EXPECT_EQ(store->batch_archive_reads(), prior_batch) << label;
+        EXPECT_EQ(store->archive_read_retries(), 0) << label;
+        EXPECT_EQ(store->share_spt_builds(), prior_share) << label;
+      }
+    }
+  }
+  *engine_->mutable_options() = RqlOptions{};
+  store->set_batch_archive_reads(false);
 }
 
 // --- current_snapshot() literal awareness ----------------------------------

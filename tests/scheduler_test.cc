@@ -283,6 +283,39 @@ TEST(SchedulerTest, CancelSessionDrainsQueuedAndRunning) {
   scheduler.Shutdown();
 }
 
+TEST(SchedulerTest, CountersSettleBeforeWaitReturns) {
+  // A slow completion callback widens the window between a run's body
+  // finishing and its waiter waking. Every counter the run touched must
+  // already be settled when Wait() returns: the completion count, the
+  // active slot and the worker grant.
+  RunScheduler::Options options;
+  options.worker_budget = 4;
+  RunScheduler scheduler(options);
+  auto slow = scheduler.Submit(
+      /*session_id=*/1, /*workers=*/4, [](Ticket*) { return Status::OK(); },
+      [](const Ticket&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      });
+  ASSERT_TRUE(slow.ok());
+  EXPECT_TRUE(scheduler.Wait(slow->get()).ok());
+  EXPECT_EQ(scheduler.completed(), 1);
+  EXPECT_EQ(scheduler.active(), 0);
+
+  // The whole budget is back in the pool: another session's run is
+  // granted all of it.
+  std::atomic<int> granted{0};
+  auto next = scheduler.Submit(/*session_id=*/2, /*workers=*/4,
+                               [&](Ticket* t) {
+                                 granted.store(t->granted_workers);
+                                 return Status::OK();
+                               });
+  ASSERT_TRUE(next.ok());
+  EXPECT_TRUE(scheduler.Wait(next->get()).ok());
+  EXPECT_EQ(granted.load(), 4);
+  EXPECT_EQ(scheduler.completed(), 2);
+  scheduler.Shutdown();
+}
+
 TEST(SchedulerTest, ShutdownRejectsNewWorkAndDrains) {
   RunScheduler scheduler({});
   auto t = scheduler.Submit(1, 1, [](Ticket*) { return Status::OK(); });

@@ -292,7 +292,10 @@ int Run(const ReportOptions& opt) {
   // Store-scoped shared scan cache: the eight passes below all read the
   // same store, so each unique page version is decoded once by the first
   // mechanism to touch it and served as a shared hit to the other seven.
+  // Like the daemon, the report (the store's owner) also shares SPT
+  // builds across runs.
   sql::SharedScanCache shared_cache;
+  (*data)->store()->set_share_spt_builds(true);
   ScopedCleanup cache_gauges =
       shared_cache.RegisterMetrics(&registry, "rql.scan_cache");
 
@@ -304,7 +307,6 @@ int Run(const ReportOptions& opt) {
   opts->incremental_spt = true;
   opts->reuse_qq_plan = true;
   opts->batch_pagelog_reads = true;
-  opts->reuse_decoded_pages = true;
   opts->skip_unchanged_iterations = true;
   opts->shared_scan_cache = &shared_cache;
   // Background archive prefetch: sequential runs overlap each iteration's
