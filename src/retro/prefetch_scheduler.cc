@@ -86,8 +86,10 @@ void PrefetchScheduler::Drain(SnapshotId snap) {
 
 int64_t PrefetchScheduler::TakeWasted() {
   std::lock_guard<std::mutex> lock(track_mu_);
-  int64_t wasted = static_cast<int64_t>(loaded_.size());
-  loaded_.clear();
+  // After Shutdown every claim has resolved, so each one left is a page
+  // loaded ahead that no demand read used.
+  int64_t wasted = static_cast<int64_t>(claims_.size());
+  claims_.clear();
   return wasted;
 }
 
@@ -121,7 +123,16 @@ void PrefetchScheduler::Shutdown() {
 
 void PrefetchScheduler::OnArchivedPageServed(uint64_t pagelog_offset) {
   std::lock_guard<std::mutex> lock(track_mu_);
-  if (loaded_.erase(pagelog_offset) != 0) ++hits_;
+  auto it = claims_.find(pagelog_offset);
+  if (it == claims_.end()) return;
+  if (it->second == Claim::kLoaded) {
+    claims_.erase(it);
+    ++hits_;
+  } else {
+    // Credited only if the fetch turns out to be ours: the page may be
+    // resident because a demand read loaded it before our fetch began.
+    it->second = Claim::kServedInFlight;
+  }
 }
 
 void PrefetchScheduler::WorkerLoop() {
@@ -167,7 +178,7 @@ void PrefetchScheduler::RunJob(Job* job) {
       bool claimed;
       {
         std::lock_guard<std::mutex> lock(track_mu_);
-        claimed = loaded_.insert(offset).second;
+        claimed = claims_.emplace(offset, Claim::kInFlight).second;
       }
       int64_t fetches = 0;
       storage::BufferPool::GetOutcome outcome;
@@ -184,13 +195,20 @@ void PrefetchScheduler::RunJob(Job* job) {
             offset, loader, &outcome,
             storage::BufferPool::Admission::kPrefetch);
       }
-      if (r.ok() && outcome.loaded) {
-        ++job->issued;
-      } else if (claimed) {
-        // Resident already, someone else's load, or an error: not a page
-        // we fetched ahead, so the claim would inflate the hit count.
+      const bool ours = r.ok() && outcome.loaded;
+      if (ours) ++job->issued;
+      if (claimed) {
         std::lock_guard<std::mutex> lock(track_mu_);
-        loaded_.erase(offset);
+        auto it = claims_.find(offset);
+        if (ours && it->second == Claim::kInFlight) {
+          it->second = Claim::kLoaded;
+        } else {
+          // A demand read served meanwhile is a hit only when we fetched
+          // the page. Resident already, someone else's load, or an error
+          // is not a page we fetched ahead.
+          if (ours) ++hits_;
+          claims_.erase(it);
+        }
       }
       if (!r.ok()) {
         // Park the first failure for Collect; the consuming iteration

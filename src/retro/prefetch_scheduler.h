@@ -170,8 +170,12 @@ class PrefetchScheduler : public PrefetchTracker {
   std::mutex plan_mu_;  // serializes workers on the private cursor
   SptCursor cursor_;
 
-  std::mutex track_mu_;  // loaded_, hits_
-  std::unordered_set<uint64_t> loaded_;
+  /// A page this scheduler claimed: its fetch is still in flight (and a
+  /// demand read may already have coalesced onto it), or it was loaded
+  /// ahead and no demand read has used it yet.
+  enum class Claim : uint8_t { kInFlight, kServedInFlight, kLoaded };
+  std::mutex track_mu_;  // claims_, hits_
+  std::unordered_map<uint64_t, Claim> claims_;
   int64_t hits_ = 0;
 };
 

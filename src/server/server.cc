@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -14,7 +15,9 @@
 
 #include "common/clock.h"
 #include "server/repl.h"
+#include "sql/ast.h"
 #include "sql/parser.h"
+#include "sql/schema.h"
 #include "sql/value.h"
 
 namespace rql::server {
@@ -26,6 +29,45 @@ constexpr int kPollIntervalMs = 100;
 /// Closes `fd` ignoring EINTR quirks; -1 tolerated.
 void CloseFd(int fd) {
   if (fd >= 0) ::close(fd);
+}
+
+/// InvalidArgument when a kMetaSql script writes SnapIds or names it as a
+/// mechanism's result table: the session mirror only follows the
+/// canonical log.
+Status CheckSnapIdsReadOnly(std::vector<sql::Statement>* script) {
+  const std::string snapids = sql::IdentLower(kSnapIdsTable);
+  auto names_snapids = [&snapids](const std::string& name) {
+    return sql::IdentLower(name) == snapids;
+  };
+  bool writes = false;
+  for (sql::Statement& stmt : *script) {
+    if (const auto* s = std::get_if<sql::InsertStmt>(&stmt)) {
+      writes = writes || names_snapids(s->table);
+    } else if (const auto* s = std::get_if<sql::UpdateStmt>(&stmt)) {
+      writes = writes || names_snapids(s->table);
+    } else if (const auto* s = std::get_if<sql::DeleteStmt>(&stmt)) {
+      writes = writes || names_snapids(s->table);
+    } else if (const auto* s = std::get_if<sql::DropStmt>(&stmt)) {
+      writes = writes || (!s->is_index && names_snapids(s->name));
+    }
+    // A mechanism UDF given SnapIds as its result table would drop and
+    // recreate it.
+    sql::VisitStatementExprs(&stmt, [&](sql::Expr* e) {
+      if (e->kind != sql::ExprKind::kFunctionCall) return;
+      for (const sql::ExprPtr& arg : e->args) {
+        if (arg->kind == sql::ExprKind::kLiteral &&
+            arg->literal.type() == sql::ValueType::kText &&
+            names_snapids(arg->literal.text())) {
+          writes = true;
+        }
+      }
+    });
+  }
+  if (!writes) return Status::OK();
+  return Status::InvalidArgument(
+      std::string(kSnapIdsTable) +
+      " is a read-only mirror of the server's snapshot log; declare and "
+      "truncate snapshots through the server instead");
 }
 
 }  // namespace
@@ -80,6 +122,24 @@ Result<std::unique_ptr<Server>> Server::Finish(ServerOptions options,
   s->owner_engine_ =
       std::make_unique<RqlEngine>(s->data_, s->meta_, owner_options);
   RQL_RETURN_IF_ERROR(s->owner_engine_->EnsureSnapIds());
+  // Load the canonical SnapIds log — the only full read of the owner
+  // table. A store truncated before this server started may have left
+  // dead heap slots that later appends would fill out of log order, so
+  // that table is rewritten once in log order.
+  RQL_ASSIGN_OR_RETURN(
+      sql::QueryResult canonical,
+      s->meta_->Query(std::string("SELECT * FROM ") + kSnapIdsTable));
+  s->snapids_ = std::move(canonical.rows);
+  // From the schema: an empty result carries no column names.
+  for (const sql::ColumnDef& column :
+       s->meta_->catalog()->data().FindTable(kSnapIdsTable)->schema.columns) {
+    s->snapids_columns_.push_back(column.name);
+  }
+  if (s->data_->store()->earliest_snapshot() > 1) {
+    RQL_RETURN_IF_ERROR(WriteSnapIds(s->meta_, s->snapids_, /*replace=*/true));
+  }
+  s->queue_wait_hist_ = s->metrics_->GetHistogram("server.queue_wait_us");
+  s->run_hist_ = s->metrics_->GetHistogram("server.run_us");
   s->scheduler_ = std::make_unique<RunScheduler>(s->options_.scheduler);
   return s;
 }
@@ -235,9 +295,44 @@ Status Server::SendResult(Conn* conn, const sql::QueryResult& result) {
   return SendReply(conn, MsgType::kResult, payload);
 }
 
-Result<sql::QueryResult> Server::CanonicalSnapIds() {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  return meta_->Query("SELECT * FROM SnapIds");
+Status Server::RefreshSnapIds(Session* session) {
+  const Session::SnapIdsMirror& mirror = session->snapids_mirror();
+  SnapIdsDelta delta;
+  {
+    std::lock_guard<std::mutex> lock(snapids_mu_);
+    delta.epoch = snapids_epoch_;
+    const bool same_epoch = mirror.epoch == snapids_epoch_;
+    // An empty mirror from an older epoch just appends the whole log.
+    delta.rebuild = mirror.stale || (!same_epoch && mirror.rows > 0);
+    const size_t from = same_epoch && !delta.rebuild ? mirror.rows : 0;
+    delta.rows.assign(snapids_.begin() + static_cast<std::ptrdiff_t>(from),
+                      snapids_.end());
+  }
+  RQL_RETURN_IF_ERROR(session->ApplySnapIds(delta));
+  snapids_mirrored_rows_.fetch_add(static_cast<int64_t>(delta.rows.size()));
+  if (delta.rebuild) snapids_rebuilds_.fetch_add(1);
+  return Status::OK();
+}
+
+Status Server::TruncateSnapIds(retro::SnapshotId keep_from) {
+  std::vector<sql::Row> kept;
+  {
+    std::lock_guard<std::mutex> lock(snapids_mu_);
+    const size_t before = snapids_.size();
+    // snap_id is column 0 of the table RqlEngine::EnsureSnapIds creates.
+    snapids_.erase(std::remove_if(snapids_.begin(), snapids_.end(),
+                                  [keep_from](const sql::Row& row) {
+                                    return row[0].AsInt() <
+                                           static_cast<int64_t>(keep_from);
+                                  }),
+                   snapids_.end());
+    if (snapids_.size() == before) return Status::OK();
+    ++snapids_epoch_;
+    kept = snapids_;
+  }
+  // The engine's DELETE left dead slots that later appends would fill
+  // ahead of surviving rows; rewriting keeps scan order = log order.
+  return WriteSnapIds(meta_, kept, /*replace=*/true);
 }
 
 bool Server::IsSnapshotReadScript(const std::string& sql) {
@@ -336,9 +431,10 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
                                    std::to_string(mechanism));
   }
   Mechanism mech = static_cast<Mechanism>(mechanism);
-  // Snapshot the canonical SnapIds now (owner lock) and ship the copy
-  // into the run body, which must not take the server write lock.
-  RQL_ASSIGN_OR_RETURN(sql::QueryResult canonical, CanonicalSnapIds());
+  if (sql::IdentLower(table) == sql::IdentLower(kSnapIdsTable)) {
+    return Status::InvalidArgument(std::string(kSnapIdsTable) +
+                                   " cannot be a result table");
+  }
   Session* session = conn->session.get();
 
   // The body fills this; the completion callback reads it. No lock needed:
@@ -348,17 +444,22 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
   struct RunDoneStats {
     uint32_t iterations = 0;
     int64_t total_us = 0, shared_hits = 0, coalesced = 0, skipped = 0;
+    int64_t submit_us = 0, dispatch_us = 0;  // dispatch_us 0: never ran
   };
   auto harvest = std::make_shared<RunDoneStats>();
+  harvest->submit_us = NowMicros();
 
-  auto body = [session, harvest, mech, requested_workers,
-               canonical = std::move(canonical), qs = std::move(qs),
-               qq = std::move(qq), table = std::move(table),
+  auto body = [this, session, harvest, mech, requested_workers,
+               qs = std::move(qs), qq = std::move(qq),
+               table = std::move(table),
                extra = std::move(extra)](RunScheduler::Ticket* t) -> Status {
+    harvest->dispatch_us = NowMicros();
     Status st;
     {
       std::lock_guard<std::mutex> lock(session->mu);
-      st = session->ReplaceSnapIds(canonical);
+      // Refreshed at dispatch: Qs sees every snapshot declared before the
+      // run starts executing.
+      st = RefreshSnapIds(session);
       if (st.ok()) {
         RqlEngine* engine = session->engine();
         RqlOptions* opts = engine->mutable_options();
@@ -397,6 +498,11 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
   // without ever dispatching (cancelled while queued, shutdown drain),
   // which would otherwise leave the client's WaitRun blocked forever.
   auto push_done = [this, conn, harvest](const RunScheduler::Ticket& t) {
+    const int64_t now = NowMicros();
+    const int64_t dispatched =
+        harvest->dispatch_us > 0 ? harvest->dispatch_us : now;
+    queue_wait_hist_->ObserveUs(dispatched - harvest->submit_us);
+    run_hist_->ObserveUs(now - dispatched);
     runs_completed_.fetch_add(1);
     std::string done;
     PutU64(&done, t.run_id);
@@ -458,18 +564,31 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
         (void)SendError(conn, reader.status());
         return true;
       }
-      auto canonical = CanonicalSnapIds();
-      if (!canonical.ok()) {
-        (void)SendError(conn, canonical.status());
-        return true;
+      // Unparsable scripts fall through: Query reports the parse error.
+      auto script = sql::ParseSql(sql);
+      bool commits = false, rolls_back = false;
+      if (script.ok()) {
+        Status guard = CheckSnapIdsReadOnly(&*script);
+        if (!guard.ok()) {
+          (void)SendError(conn, guard);
+          return true;
+        }
+        for (const sql::Statement& stmt : *script) {
+          commits = commits || std::holds_alternative<sql::CommitStmt>(stmt);
+          rolls_back =
+              rolls_back || std::holds_alternative<sql::RollbackStmt>(stmt);
+        }
       }
       std::lock_guard<std::mutex> lock(session->mu);
-      Status refresh = session->ReplaceSnapIds(*canonical);
+      Status refresh = RefreshSnapIds(session);
       if (!refresh.ok()) {
         (void)SendError(conn, refresh);
         return true;
       }
       auto result = session->meta()->Query(sql);
+      if (commits || rolls_back) {
+        session->EndClientTxn(rolls_back || !result.ok());
+      }
       Status finish = session->engine()->FinishUdfRuns();
       if (!result.ok()) {
         (void)SendError(conn, result.status());
@@ -492,6 +611,12 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
       if (!snap.ok()) {
         (void)SendError(conn, snap.status());
         return true;
+      }
+      {
+        // The row CommitWithSnapshot just appended to the owner table.
+        std::lock_guard<std::mutex> log_lock(snapids_mu_);
+        snapids_.push_back({sql::Value::Integer(*snap), sql::Value::Text(""),
+                            sql::Value::Text(label)});
       }
       std::string payload;
       PutU32(&payload, static_cast<uint32_t>(*snap));
@@ -563,6 +688,10 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
       std::lock_guard<std::mutex> lock(write_mu_);
       Status st = owner_engine_->TruncateHistory(
           static_cast<retro::SnapshotId>(keep_from));
+      // Follow the store even when truncation failed part-way: whatever
+      // it dropped must leave the log too.
+      Status log = TruncateSnapIds(data_->store()->earliest_snapshot());
+      if (st.ok()) st = log;
       if (st.ok()) {
         std::string payload;
         PutU32(&payload,
@@ -574,12 +703,13 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
       return true;
     }
     case MsgType::kListSnapshots: {
-      auto canonical = CanonicalSnapIds();
-      if (canonical.ok()) {
-        (void)SendResult(conn, *canonical);
-      } else {
-        (void)SendError(conn, canonical.status());
+      sql::QueryResult canonical;
+      {
+        std::lock_guard<std::mutex> lock(snapids_mu_);
+        canonical.columns = snapids_columns_;
+        canonical.rows = snapids_;
       }
+      (void)SendResult(conn, canonical);
       return true;
     }
     case MsgType::kRunStats: {
@@ -725,7 +855,16 @@ std::string Server::StatsJson() {
       << "\"earliest_snapshot\": "
       << static_cast<int64_t>(data_->store()->earliest_snapshot())
       << ", \"latest_snapshot\": "
-      << static_cast<int64_t>(data_->store()->latest_snapshot()) << "}\n";
+      << static_cast<int64_t>(data_->store()->latest_snapshot()) << "},\n";
+  size_t log_rows = 0;
+  {
+    std::lock_guard<std::mutex> lock(snapids_mu_);
+    log_rows = snapids_.size();
+  }
+  out << "  \"snapids\": {"
+      << "\"rows\": " << log_rows
+      << ", \"mirrored_rows\": " << snapids_mirrored_rows_.load()
+      << ", \"rebuilds\": " << snapids_rebuilds_.load() << "}\n";
   out << "}\n";
   return out.str();
 }

@@ -16,8 +16,15 @@
 //   * Everything that writes — non-AS-OF SQL, snapshot declaration,
 //     truncation — executes on the owning handle under one server-wide
 //     write mutex, and the canonical SnapIds table lives in the owner's
-//     metadata database. Sessions mirror it into their private metadata
-//     database before each run or .meta statement.
+//     metadata database.
+//   * The server also holds SnapIds in memory as a canonical log: loaded
+//     once at Create, appended by kSnapshot, cut by kTruncate (which bumps
+//     its truncation epoch). Each session keeps an append-only mirror in
+//     its private metadata database and copies only the rows declared
+//     since its last refresh — at run dispatch and before each .meta
+//     statement — rebuilding once when the epoch moved. The mirror is
+//     read-only to clients. Lock order: write_mu_ -> snapids_mu_ and
+//     session->mu -> snapids_mu_; snapids_mu_ is a leaf.
 //   * Attached catalogs are loaded at session creation and not refreshed
 //     on concurrent DDL (the Database::Attach contract); schema listings
 //     therefore always read the owner catalog.
@@ -36,6 +43,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "retro/metrics.h"
 #include "rql/rql.h"
@@ -67,7 +75,9 @@ struct ServerOptions {
   RqlOptions engine;
   /// Receives the server gauges (server.active_sessions,
   /// server.queued_runs, server.active_runs, server.admission_rejects,
-  /// server.sessions_opened, server.runs_completed). Defaults to
+  /// server.sessions_opened, server.runs_completed) and the per-run
+  /// histograms server.queue_wait_us (submit -> dispatch) and
+  /// server.run_us (dispatch -> completion). Defaults to
   /// MetricsRegistry::Default().
   retro::MetricsRegistry* metrics = nullptr;
 };
@@ -100,7 +110,7 @@ class Server {
   const std::string& socket_path() const { return options_.socket_path; }
 
   /// The kStats document (also returned over the wire): server, scheduler,
-  /// shared scan cache and store sections.
+  /// shared scan cache, store and snapids sections.
   std::string StatsJson();
 
   RunScheduler* scheduler() { return scheduler_.get(); }
@@ -135,8 +145,12 @@ class Server {
   Status SendReply(Conn* conn, MsgType type, const std::string& payload);
   Status SendError(Conn* conn, const Status& error);
   Status SendResult(Conn* conn, const sql::QueryResult& result);
-  /// Canonical SnapIds from the owner metadata database (write lock).
-  Result<sql::QueryResult> CanonicalSnapIds();
+  /// Copies the canonical-log rows `session`'s mirror lacks (under
+  /// snapids_mu_) and applies them. Caller holds session->mu.
+  Status RefreshSnapIds(Session* session);
+  /// Drops log rows below `keep_from`, bumps the epoch and rewrites the
+  /// owner table in log order. Caller holds write_mu_.
+  Status TruncateSnapIds(retro::SnapshotId keep_from);
   /// True when every statement of `sql` is a SELECT with an AS OF clause —
   /// the read-only shape that may run on the session's attached handle
   /// without the write lock.
@@ -154,8 +168,18 @@ class Server {
   sql::Database* meta_ = nullptr;
   std::unique_ptr<RqlEngine> owner_engine_;
   /// Serializes every use of the owner handles (writes, schema listings,
-  /// canonical SnapIds reads, snapshot declaration, truncation).
+  /// snapshot declaration, truncation).
   std::mutex write_mu_;
+
+  /// The canonical SnapIds log: the owner table's rows in its scan order,
+  /// and the truncation epoch (bumped whenever rows leave the log).
+  std::mutex snapids_mu_;
+  std::vector<std::string> snapids_columns_;
+  std::vector<sql::Row> snapids_;
+  uint64_t snapids_epoch_ = 0;
+  /// Rows written into session mirrors, and mirror rebuilds.
+  std::atomic<int64_t> snapids_mirrored_rows_{0};
+  std::atomic<int64_t> snapids_rebuilds_{0};
 
   sql::SharedScanCache scan_cache_;
   std::unique_ptr<RunScheduler> scheduler_;
@@ -173,6 +197,8 @@ class Server {
   std::atomic<int64_t> active_sessions_{0};
   std::atomic<int64_t> sessions_opened_{0};
   std::atomic<int64_t> runs_completed_{0};
+  retro::MetricsRegistry::Histogram* queue_wait_hist_ = nullptr;
+  retro::MetricsRegistry::Histogram* run_hist_ = nullptr;
 };
 
 }  // namespace rql::server

@@ -22,12 +22,47 @@ Result<std::unique_ptr<Session>> Session::Create(
 
 Session::~Session() = default;
 
-Status Session::ReplaceSnapIds(const sql::QueryResult& canonical) {
-  RQL_RETURN_IF_ERROR(meta_->Exec("DELETE FROM SnapIds"));
-  for (const sql::Row& row : canonical.rows) {
-    RQL_RETURN_IF_ERROR(meta_->AppendRow("SnapIds", row).status());
+Status WriteSnapIds(sql::Database* db, const std::vector<sql::Row>& rows,
+                    bool replace) {
+  const bool own_txn = !db->store()->in_transaction();
+  if (own_txn) RQL_RETURN_IF_ERROR(db->Exec("BEGIN"));
+  // The only whole-table delete of SnapIds: epoch rebuilds (truncation,
+  // or a mirror whose contents are unknown). Deleting every row before
+  // re-appending also keeps the heap's scan order equal to append order.
+  Status st = replace ? db->Exec(std::string("DELETE FROM ") + kSnapIdsTable)
+                      : Status::OK();
+  for (size_t i = 0; st.ok() && i < rows.size(); ++i) {
+    st = db->AppendRow(kSnapIdsTable, rows[i]).status();
   }
+  if (!own_txn) return st;
+  if (!st.ok()) {
+    (void)db->Exec("ROLLBACK");
+    return st;
+  }
+  return db->Exec("COMMIT");
+}
+
+Status Session::ApplySnapIds(const SnapIdsDelta& delta) {
+  if (delta.rebuild || !delta.rows.empty()) {
+    const bool in_client_txn = meta_->store()->in_transaction();
+    Status st = WriteSnapIds(meta_.get(), delta.rows, delta.rebuild);
+    if (!st.ok()) {
+      mirror_.stale = true;
+      return st;
+    }
+    mirror_.in_client_txn = mirror_.in_client_txn || in_client_txn;
+  }
+  mirror_.rows = delta.rebuild || delta.epoch != mirror_.epoch
+                     ? delta.rows.size()
+                     : mirror_.rows + delta.rows.size();
+  mirror_.epoch = delta.epoch;
+  mirror_.stale = false;
   return Status::OK();
+}
+
+void Session::EndClientTxn(bool may_have_undone) {
+  if (mirror_.in_client_txn && may_have_undone) mirror_.stale = true;
+  mirror_.in_client_txn = false;
 }
 
 Result<sql::PreparedStatement*> Session::FindStmt(uint32_t stmt_id) {

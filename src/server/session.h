@@ -3,9 +3,9 @@
 
 // One connected client of rql_serverd: an attached sql::Database handle
 // over the server's SnapshotStore, a private in-memory metadata database
-// (SnapIds mirror, RQL result tables), an RqlEngine wired to the server's
-// SharedScanCache, and the session's prepared-statement table with its
-// per-statement plan state (PlanCache, AS OF binding).
+// (append-only SnapIds mirror, RQL result tables), an RqlEngine wired to
+// the server's SharedScanCache, and the session's prepared-statement
+// table with its per-statement plan state (PlanCache, AS OF binding).
 //
 // This is exactly the bench_concurrent_runs client shape, held
 // server-side: concurrent sessions share the store — snapshot page cache,
@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/status.h"
@@ -28,6 +29,25 @@
 #include "storage/env.h"
 
 namespace rql::server {
+
+/// The snapshot table every metadata database the server touches holds.
+inline constexpr char kSnapIdsTable[] = "SnapIds";
+
+/// Appends `rows` to SnapIds in `db` — after deleting every existing row
+/// when `replace` — as one transaction, or inside the caller's open one.
+Status WriteSnapIds(sql::Database* db, const std::vector<sql::Row>& rows,
+                    bool replace);
+
+/// What a session's SnapIds mirror lacks against the server's canonical
+/// log (Server::RefreshSnapIds): the rows declared since its last refresh,
+/// or — when the log's truncation epoch moved — every surviving row.
+struct SnapIdsDelta {
+  /// The log epoch `rows` belong to.
+  uint64_t epoch = 0;
+  /// Replace the mirror's contents with `rows` instead of appending them.
+  bool rebuild = false;
+  std::vector<sql::Row> rows;
+};
 
 class Session {
  public:
@@ -50,10 +70,31 @@ class Session {
   /// a run holds it.
   std::mutex mu;
 
-  /// Replaces the private SnapIds mirror with `rows` (the canonical table
-  /// read from the owner's metadata database), so Qs sees every snapshot
-  /// declared by any client up to this request.
-  Status ReplaceSnapIds(const sql::QueryResult& canonical);
+  /// Where the private SnapIds mirror stands against the server's
+  /// canonical log. Guarded by `mu`.
+  struct SnapIdsMirror {
+    /// Log epoch the mirrored rows belong to.
+    uint64_t epoch = 0;
+    /// How many of that epoch's rows, in log order, the mirror holds.
+    size_t rows = 0;
+    /// Contents unknown (a failed write, or mirror rows a client ROLLBACK
+    /// may have undone): the next refresh rebuilds.
+    bool stale = false;
+    /// Rows were written inside the client's open metadata transaction,
+    /// so they last only if that transaction commits.
+    bool in_client_txn = false;
+  };
+  const SnapIdsMirror& snapids_mirror() const { return mirror_; }
+
+  /// Brings the mirror up to `delta.epoch`: appends its rows, or rebuilds
+  /// the table from them. O(rows in the delta). Caller holds `mu`.
+  Status ApplySnapIds(const SnapIdsDelta& delta);
+
+  /// A kMetaSql script ended the client's metadata transaction (COMMIT or
+  /// ROLLBACK). When `may_have_undone` — a ROLLBACK, or a script that
+  /// failed — mirror rows written inside that transaction may be gone, so
+  /// the mirror is marked for rebuild. Caller holds `mu`.
+  void EndClientTxn(bool may_have_undone);
 
   // --- prepared statements (wire kPrepare..kClosePrepared) ----------------
   Result<uint32_t> Prepare(const std::string& sql);
@@ -81,6 +122,7 @@ class Session {
   std::unique_ptr<sql::Database> meta_;
   std::unique_ptr<sql::Database> data_;  // attached; store outlives us
   std::unique_ptr<RqlEngine> engine_;
+  SnapIdsMirror mirror_;
 
   std::map<uint32_t, std::unique_ptr<sql::PreparedStatement>> stmts_;
   uint32_t next_stmt_id_ = 1;

@@ -1,7 +1,10 @@
 // rql_serverd end-to-end: session lifecycle over the wire protocol,
 // admission-control rejection, cooperative cancellation mid-run (store
 // left fully reusable), prepared statements with per-session AS OF plan
-// state, idle-session reaping, and the concurrency gate — four socket
+// state, idle-session reaping, the SnapIds mirror contract (declarations
+// and truncations reach every session, the mirror stays byte-identical
+// to the owner table, is read-only, and copies only new rows), the
+// per-run latency histograms, and the concurrency gate — four socket
 // clients running staggered CollateData intervals concurrently, byte-
 // identical to an in-process sequential oracle, with the shared scan
 // cache showing actual cross-run sharing.
@@ -10,11 +13,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "retro/metrics.h"
 #include "rql/rql.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -86,6 +91,46 @@ std::vector<std::string> EncodeRows(const sql::QueryResult& result) {
   out.reserve(result.rows.size());
   for (const Row& row : result.rows) out.push_back(sql::EncodeRow(row));
   return out;
+}
+
+/// Integer value of the first `"key": ` in a kStats document; -1 if absent.
+int64_t StatsField(const std::string& stats, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = stats.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::atoll(stats.c_str() + at + needle.size());
+}
+
+/// The session's SnapIds mirror, read over the wire, equals the owner's
+/// canonical table byte for byte (rows and their order).
+void ExpectMirrorMatchesOwner(Client* client, sql::Database* owner_meta) {
+  auto mirror = client->MetaSql("SELECT * FROM SnapIds");
+  ASSERT_TRUE(mirror.ok()) << mirror.status().ToString();
+  auto owner = owner_meta->Query("SELECT * FROM SnapIds");
+  ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+  EXPECT_EQ(EncodeRows(*mirror), EncodeRows(*owner));
+}
+
+/// Runs CollateData over every SnapIds row and returns how many
+/// iterations the run's Qs selected.
+int64_t RunOverAllSnapIds(Client* client) {
+  auto run = client->StartRun(Mechanism::kCollateData,
+                              "SELECT snap_id FROM SnapIds ORDER BY snap_id",
+                              kQq, "Out");
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return -1;
+  auto done = client->WaitRun(*run);
+  EXPECT_TRUE(done.ok() && done->status.ok());
+  if (!done.ok() || !done->status.ok()) return -1;
+  return done->iterations;
+}
+
+/// COUNT(*) of SnapIds as the session's metadata database sees it.
+int64_t MirrorCount(Client* client) {
+  auto count = client->MetaSql("SELECT COUNT(*) FROM SnapIds");
+  EXPECT_TRUE(count.ok()) << count.status().ToString();
+  if (!count.ok() || count->rows.size() != 1) return -1;
+  return count->rows[0][0].AsInt();
 }
 
 /// Polls until `server` has no active session (disconnect teardown is
@@ -374,6 +419,271 @@ TEST(ServerTest, SessionCapacityIsEnforced) {
 
   c1->reset();
   c2->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+TEST(ServerSnapIdsTest, LaterDeclarationsReachAnExistingSession) {
+  HistoryFixture f = MakeHistory(6);
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto analyst = Client::Connect(options.socket_path);
+  auto writer = Client::Connect(options.socket_path);
+  ASSERT_TRUE(analyst.ok() && writer.ok());
+  Client* a = analyst->get();
+
+  EXPECT_EQ(RunOverAllSnapIds(a), 6);
+  ExpectMirrorMatchesOwner(a, f.meta.get());
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE((*writer)->DeclareSnapshot("later-" + std::to_string(i)).ok());
+    EXPECT_EQ(MirrorCount(a), 6 + i);
+    ExpectMirrorMatchesOwner(a, f.meta.get());
+    EXPECT_EQ(RunOverAllSnapIds(a), 6 + i);
+  }
+  auto stats = (*server)->StatsJson();
+  EXPECT_EQ(StatsField(stats, "rows"), 9);
+  EXPECT_EQ(StatsField(stats, "rebuilds"), 0);
+
+  analyst->reset();
+  writer->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+TEST(ServerSnapIdsTest, TruncateReachesExistingAndNewSessions) {
+  HistoryFixture f = MakeHistory(12);
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto existing = Client::Connect(options.socket_path);
+  ASSERT_TRUE(existing.ok());
+  Client* a = existing->get();
+  EXPECT_EQ(RunOverAllSnapIds(a), 12);
+  ExpectMirrorMatchesOwner(a, f.meta.get());
+
+  // Every view of SnapIds — a run's Qs, MetaSql, ListSnapshots — lists
+  // exactly the ids from `first` through `last`, for either session.
+  auto expect_ids = [&](Client* c, int64_t first, int64_t last) {
+    const int64_t n = last - first + 1;
+    EXPECT_EQ(RunOverAllSnapIds(c), n);
+    EXPECT_EQ(MirrorCount(c), n);
+    auto min_id = c->MetaSql("SELECT MIN(snap_id) FROM SnapIds");
+    ASSERT_TRUE(min_id.ok());
+    EXPECT_EQ(min_id->rows[0][0].AsInt(), first);
+    auto listed = c->ListSnapshots();
+    ASSERT_TRUE(listed.ok());
+    ASSERT_EQ(static_cast<int64_t>(listed->rows.size()), n);
+    EXPECT_EQ(listed->rows.front()[0].AsInt(), first);
+    EXPECT_EQ(listed->rows.back()[0].AsInt(), last);
+    ExpectMirrorMatchesOwner(c, f.meta.get());
+  };
+
+  auto earliest = a->Truncate(6);
+  ASSERT_TRUE(earliest.ok()) << earliest.status().ToString();
+  EXPECT_EQ(*earliest, 6u);
+  expect_ids(a, 6, 12);
+  auto fresh = Client::Connect(options.socket_path);
+  ASSERT_TRUE(fresh.ok());
+  Client* b = fresh->get();
+  expect_ids(b, 6, 12);
+
+  // Declarations after a truncation land behind the survivors in the
+  // owner table and in both mirrors alike.
+  ASSERT_TRUE(b->DeclareSnapshot("after-1").ok());
+  ASSERT_TRUE(a->DeclareSnapshot("after-2").ok());
+  expect_ids(a, 6, 14);
+  expect_ids(b, 6, 14);
+
+  ASSERT_TRUE(b->Truncate(10).ok());
+  expect_ids(a, 10, 14);
+  expect_ids(b, 10, 14);
+  auto stats = (*server)->StatsJson();
+  EXPECT_EQ(StatsField(stats, "rows"), 5);
+  // One rebuild per truncation per session that already held rows.
+  EXPECT_EQ(StatsField(stats, "rebuilds"), 3);
+
+  existing->reset();
+  fresh->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+TEST(ServerSnapIdsTest, MetaSqlWritesToSnapIdsAreRejected) {
+  HistoryFixture f = MakeHistory(4);
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto client = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok());
+  Client* c = client->get();
+  ExpectMirrorMatchesOwner(c, f.meta.get());
+
+  const std::vector<std::string> writes = {
+      "INSERT INTO SnapIds VALUES (99, 'ts', 'forged')",
+      "UPDATE SnapIds SET label = 'x' WHERE snap_id = 1",
+      "DELETE FROM SnapIds WHERE snap_id = 2",
+      "delete from snapids",
+      "DROP TABLE SnapIds",
+      "CREATE TABLE Scratch (a INTEGER); DROP TABLE IF EXISTS SnapIds",
+      "SELECT CollateData(snap_id, 'SELECT k FROM t', 'SnapIds') "
+      "FROM SnapIds",
+  };
+  for (const std::string& sql : writes) {
+    auto result = c->MetaSql(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(result.status().message().find("SnapIds"), std::string::npos)
+        << result.status().ToString();
+    ExpectMirrorMatchesOwner(c, f.meta.get());
+  }
+  // A rejected script runs no statement at all, not even its prefix.
+  auto scratch = c->MetaSql("SELECT COUNT(*) FROM Scratch");
+  EXPECT_FALSE(scratch.ok());
+  // Nor can a scheduled run name SnapIds as its result table.
+  auto run = c->StartRun(Mechanism::kCollateData, QsRange(1, 2), kQq,
+                         "snapids");
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  // Reads, and result tables of other names, are untouched.
+  EXPECT_EQ(MirrorCount(c), 4);
+  EXPECT_EQ(RunOverAllSnapIds(c), 4);
+  ExpectMirrorMatchesOwner(c, f.meta.get());
+
+  client->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+TEST(ServerSnapIdsTest, ClientTransactionsKeepTheMirrorExact) {
+  HistoryFixture f = MakeHistory(4);
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto client = Client::Connect(options.socket_path);
+  auto writer = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok() && writer.ok());
+  Client* c = client->get();
+  ExpectMirrorMatchesOwner(c, f.meta.get());
+
+  // Rows mirrored inside a committed client transaction stay.
+  ASSERT_TRUE(c->MetaSql("BEGIN").ok());
+  ASSERT_TRUE((*writer)->DeclareSnapshot("in-commit").ok());
+  EXPECT_EQ(MirrorCount(c), 5);
+  ASSERT_TRUE(c->MetaSql("COMMIT").ok());
+  ExpectMirrorMatchesOwner(c, f.meta.get());
+  EXPECT_EQ(StatsField((*server)->StatsJson(), "rebuilds"), 0);
+
+  // A ROLLBACK undoes rows mirrored inside it; the next refresh rebuilds.
+  ASSERT_TRUE(c->MetaSql("BEGIN").ok());
+  ASSERT_TRUE((*writer)->DeclareSnapshot("in-rollback").ok());
+  EXPECT_EQ(MirrorCount(c), 6);
+  ASSERT_TRUE(c->MetaSql("ROLLBACK").ok());
+  ExpectMirrorMatchesOwner(c, f.meta.get());
+  EXPECT_EQ(MirrorCount(c), 6);
+  EXPECT_EQ(StatsField((*server)->StatsJson(), "rebuilds"), 1);
+
+  client->reset();
+  writer->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+// The O(new rows) property: refreshes copy only the rows declared since
+// the session's previous one. The full-table copy this replaces would
+// have mirrored about 20 x 300 rows here.
+TEST(ServerSnapIdsTest, MirrorCopiesOnlyNewRows) {
+  constexpr int kHistory = 300;
+  HistoryFixture f = MakeHistory(kHistory);
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto client = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok());
+  Client* c = client->get();
+
+  int declared = 0;
+  retro::SnapshotId last = f.last_snap;
+  for (int i = 0; i < 10; ++i) {
+    if (i % 3 == 2) {
+      auto snap = c->DeclareSnapshot("between-" + std::to_string(i));
+      ASSERT_TRUE(snap.ok());
+      last = *snap;
+      ++declared;
+    }
+    // The run's Qs already sees a snapshot declared just before it.
+    auto run = c->StartRun(Mechanism::kCollateData, QsRange(last - 1, last),
+                           kQq, "Out");
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    auto done = c->WaitRun(*run);
+    ASSERT_TRUE(done.ok() && done->status.ok());
+    EXPECT_EQ(done->iterations, 2u);
+    auto fetched = c->MetaSql("SELECT * FROM Out");
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  }
+  auto stats = (*server)->StatsJson();
+  EXPECT_EQ(StatsField(stats, "rows"), kHistory + declared);
+  EXPECT_EQ(StatsField(stats, "mirrored_rows"), kHistory + declared);
+  EXPECT_EQ(StatsField(stats, "rebuilds"), 0);
+  ExpectMirrorMatchesOwner(c, f.meta.get());
+
+  client->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+TEST(ServerMetricsTest, RunHistogramsCountEveryCompletedRun) {
+  HistoryFixture f = MakeHistory(8);
+  retro::MetricsRegistry registry;
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  options.metrics = &registry;
+  options.scheduler.dispatch_threads = 1;
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto client = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok());
+  Client* c = client->get();
+
+  constexpr int kRuns = 3;
+  for (int i = 0; i < kRuns; ++i) {
+    auto run = c->StartRun(Mechanism::kCollateData, QsRange(1, f.last_snap),
+                           kQq, "Out");
+    ASSERT_TRUE(run.ok());
+    ASSERT_TRUE(c->WaitRun(*run).ok());
+  }
+  // Two more, cancelled: one probably mid-run, one probably still queued
+  // behind it — either way each completes exactly once.
+  f.data->store()->set_simulated_archive_latency_us(5000);
+  auto slow = c->StartRun(Mechanism::kCollateData, QsRange(1, f.last_snap),
+                          kQq, "Slow");
+  auto queued = c->StartRun(Mechanism::kCollateData,
+                            QsRange(1, f.last_snap), kQq, "Queued");
+  ASSERT_TRUE(slow.ok() && queued.ok());
+  ASSERT_TRUE(c->CancelRun(*queued).ok());
+  ASSERT_TRUE(c->CancelRun(*slow).ok());
+  ASSERT_TRUE(c->WaitRun(*slow).ok());
+  ASSERT_TRUE(c->WaitRun(*queued).ok());
+
+  retro::MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+  const int64_t completed = snap.gauges["server.runs_completed"];
+  EXPECT_EQ(completed, kRuns + 2);
+  EXPECT_EQ(snap.histograms["server.queue_wait_us"].count, completed);
+  EXPECT_EQ(snap.histograms["server.run_us"].count, completed);
+  EXPECT_GT(snap.histograms["server.run_us"].sum_us, 0);
+
+  client->reset();
   WaitForNoSessions(server->get());
   (*server)->Stop();
 }

@@ -5,7 +5,8 @@ Usage: check_server_json.py STATS.json
        rql_shell --connect SOCKET --pull-stats | check_server_json.py -
 
 Validates the wire-protocol stats document CI pulls from a live
-rql_serverd: the four sections (server, scheduler, scan_cache, store),
+rql_serverd: the five sections (server, scheduler, scan_cache, store,
+snapids),
 their field types, and the internal invariants a healthy server must
 satisfy. Exits non-zero with a path-qualified message on the first
 violation.
@@ -41,6 +42,11 @@ SECTIONS = {
     "store": {
         "earliest_snapshot": int,
         "latest_snapshot": int,
+    },
+    "snapids": {
+        "rows": int,
+        "mirrored_rows": int,
+        "rebuilds": int,
     },
 }
 
@@ -91,6 +97,15 @@ def check_stats(doc):
     store = doc["store"]
     require(store["earliest_snapshot"] <= store["latest_snapshot"] + 1,
             "$.store", "earliest snapshot beyond latest+1")
+
+    snapids = doc["snapids"]
+    for name, value in snapids.items():
+        require(value >= 0, f"$.snapids.{name}", "negative count")
+    # Session mirrors only rebuild after a truncation moved the canonical
+    # log's epoch (or a client ROLLBACK undid mirrored rows).
+    if store["earliest_snapshot"] <= 1:
+        require(snapids["rebuilds"] <= server["sessions_opened"], "$.snapids",
+                "more mirror rebuilds than sessions without a truncation")
 
 
 def main():
