@@ -53,6 +53,9 @@ RunResult RunConfig(tpch::History* history, const Config& config,
   opts->incremental_spt = config.incremental;
   opts->reuse_qq_plan = config.reuse;
   opts->batch_pagelog_reads = config.batch;
+  // The baseline is flags off, so every config keeps Qq on the row path:
+  // the ablation isolates the iteration-setup amortizations.
+  opts->batch_execution = false;
   // Comparable Pagelog I/O across configs: every run starts cold.
   history->data()->store()->ClearSnapshotCache();
 

@@ -177,6 +177,7 @@ int Run() {
   // Oracle: sequential, flag-off, no simulated latency. Defines the
   // byte-identity reference per client.
   RqlOptions oracle_opts;
+  oracle_opts.batch_execution = false;
   std::vector<Client> oracle = MakeClients(history, oracle_opts);
   for (Client& c : oracle) RunOne(&c);
 
@@ -188,12 +189,11 @@ int Run() {
   store->set_simulated_archive_fetch_slots(1);
   store->snapshot_cache()->set_capacity(kSnapshotCachePages);
 
-  // Both concurrent configs run batch execution: page-at-a-time
-  // evaluation keeps per-iteration CPU small relative to archive I/O,
-  // which is the regime the shared cache targets.
+  // Both concurrent configs run batch execution (the default): page-at-a-
+  // time evaluation keeps per-iteration CPU small relative to archive
+  // I/O, which is the regime the shared cache targets.
   RqlOptions private_opts;
   private_opts.cold_cache_per_run = false;
-  private_opts.batch_execution = true;
   std::vector<Client> priv = MakeClients(history, private_opts);
   for (Client& c : priv) {
     c.own_cache = std::make_unique<sql::SharedScanCache>();
@@ -206,7 +206,6 @@ int Run() {
   RqlOptions shared_opts;
   shared_opts.cold_cache_per_run = false;
   shared_opts.shared_scan_cache = &cache;
-  shared_opts.batch_execution = true;
   std::vector<Client> shared = MakeClients(history, shared_opts);
   store->ClearSnapshotCache();
   store->set_share_spt_builds(true);

@@ -73,6 +73,9 @@ int Run() {
               "(Qq_agg, Qs_50, UW30)\n");
   PrintBreakdownHeader("iteration");
 
+  // The paper's row-at-a-time spine first; batch_execution is on by
+  // default, so the row arm turns it off explicitly.
+  engine->mutable_options()->batch_execution = false;
   FuncRun max_row = RunFunc(history, "MaxResult", "(cn,max)");
   PrintBreakdownRow("MAX aggregation cold", max_row.cold);
   PrintBreakdownRow("MAX aggregation hot", max_row.hot);

@@ -28,6 +28,9 @@ double MeasureC(tpch::History* history, int interval_len, int step) {
   RqlEngine* engine = history->engine();
   std::string qs = history->QsInterval(1, interval_len, step);
 
+  // Ratio C compares one pipeline with itself: the all-cold baseline runs
+  // row-at-a-time, so the warm runs must too.
+  engine->mutable_options()->batch_execution = false;
   engine->mutable_options()->cold_cache_per_iteration = false;
   // Warm up once (OS file cache, allocator) so the two measured runs see
   // the same environment; the snapshot cache itself still starts cold.
@@ -39,6 +42,7 @@ double MeasureC(tpch::History* history, int interval_len, int step) {
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
   double all_cold_ms = RunTotalMs(engine->last_run_stats());
   engine->mutable_options()->cold_cache_per_iteration = false;
+  engine->mutable_options()->batch_execution = true;
 
   return all_cold_ms > 0 ? rql_ms / all_cold_ms : 0.0;
 }
@@ -127,6 +131,9 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   sql::SharedScanCache run_cache;  // this run's own decoded-page cache
   opts->shared_scan_cache = cell.reuse ? &run_cache : nullptr;
   opts->skip_unchanged_iterations = cell.skip;
+  // Every cell, "off" included, runs the row path: the ablation isolates
+  // the page-sharing flags.
+  opts->batch_execution = false;
   // Comparable across cells: every run starts with a cold snapshot cache.
   h->data->store()->ClearSnapshotCache();
 
@@ -154,6 +161,7 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
 
   opts->shared_scan_cache = nullptr;
   opts->skip_unchanged_iterations = false;
+  opts->batch_execution = true;
   return r;
 }
 

@@ -95,6 +95,9 @@ int Run() {
   // across invocations.
   (void)BenchEnv()->DeleteFile(std::string(memo_name) + ".memo");
 
+  // Every run, the memo-less baseline included, executes Qq on the row
+  // path: the flags-off reference, and the speedup isolates the memo.
+  engine->mutable_options()->batch_execution = false;
   RunResult baseline = RunOnce(history, qs, qq);
 
   auto memo = retro::MemoTable::Open(BenchEnv(), memo_name);
@@ -114,6 +117,7 @@ int Run() {
 
   engine->mutable_options()->memoize_iterations = false;
   engine->mutable_options()->memo = nullptr;
+  engine->mutable_options()->batch_execution = true;
 
   const double speedup =
       warm.total_ms > 0 ? cold.total_ms / warm.total_ms : 0;

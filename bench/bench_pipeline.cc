@@ -81,6 +81,9 @@ RunResult RunOnce(tpch::History* history, const std::string& qs,
   opt->cold_cache_per_run = false;
   opt->batch_pagelog_reads = true;
   opt->async_prefetch = false;
+  // Every run, the flags-off oracle included, keeps Qq on the row path:
+  // the calibrated regime needs Qq to out-compute the fetch floor.
+  opt->batch_execution = false;
   BENCH_CHECK(engine->CollateData(warm_qs, qq, "PipelineWarm"));
 
   opt->batch_pagelog_reads = cfg.batch;
@@ -99,6 +102,7 @@ RunResult RunOnce(tpch::History* history, const std::string& qs,
   opt->batch_pagelog_reads = false;
   opt->async_prefetch = false;
   opt->cold_cache_per_run = true;
+  opt->batch_execution = true;
 
   const RqlRunStats& stats = engine->last_run_stats();
   r.iterations = static_cast<int64_t>(stats.iterations.size());

@@ -70,7 +70,9 @@ std::vector<std::vector<std::string>> RunOracle(tpch::History* history) {
     if (!meta.ok()) Fail(meta.status(), "open oracle meta db");
     auto data = sql::Database::Attach(history->data()->store());
     if (!data.ok()) Fail(data.status(), "attach oracle data db");
-    RqlEngine engine(data->get(), meta->get());
+    RqlOptions flags_off;
+    flags_off.batch_execution = false;
+    RqlEngine engine(data->get(), meta->get(), flags_off);
     BENCH_CHECK(engine.EnsureSnapIds());
     for (retro::SnapshotId s = 1; s <= history->last_snapshot(); ++s) {
       auto row = (*meta)->AppendRow(
@@ -114,7 +116,6 @@ int Run() {
       "/tmp/rql_bench_server_" + std::to_string(::getpid()) + ".sock";
   options.scheduler.dispatch_threads = kClients;
   options.engine.cold_cache_per_run = false;
-  options.engine.batch_execution = true;
   auto srv = server::Server::Create(history->data(), history->meta(),
                                     std::move(options));
   if (!srv.ok()) Fail(srv.status(), "create server");

@@ -96,7 +96,38 @@ Status SnapshotStore::CaptureIfNeeded(storage::PageId id,
   RQL_RETURN_IF_ERROR(
       maplog_->AppendCapture(id, epoch + 1, latest_snap_, offset));
   mod_epoch_[id] = latest_snap_;
+  uint64_t retired = 0;
+  if (SharedPageKey(id, epoch, &retired)) {
+    for (const auto& [listener, count] : capture_listeners_) {
+      listener->OnSharedPageCaptured(retired, offset);
+    }
+  }
   return Status::OK();
+}
+
+ScopedCleanup SnapshotStore::AttachCaptureListener(
+    CaptureListener* listener) {
+  std::lock_guard<std::shared_mutex> lock(mu_);
+  ScopedCleanup detach([this, listener] { DetachCaptureListener(listener); });
+  for (auto& [l, count] : capture_listeners_) {
+    if (l == listener) {
+      ++count;
+      return detach;
+    }
+  }
+  capture_listeners_.emplace_back(listener, 1);
+  return detach;
+}
+
+void SnapshotStore::DetachCaptureListener(CaptureListener* listener) {
+  std::lock_guard<std::shared_mutex> lock(mu_);
+  for (auto it = capture_listeners_.begin(); it != capture_listeners_.end();
+       ++it) {
+    if (it->first == listener) {
+      if (--it->second == 0) capture_listeners_.erase(it);
+      return;
+    }
+  }
 }
 
 Result<storage::PageId> SnapshotStore::AllocatePage() {
@@ -627,15 +658,10 @@ void SnapshotView::RecordVersion(storage::PageId id, uint64_t token) {
 }
 
 bool SnapshotView::PageVersion(storage::PageId id, uint64_t* version) {
-  // A scan-cache hit answers the read from this version lookup alone,
-  // never reaching ReadPage/ReadPagePinned — so the read must be recorded
-  // here for the iteration-skip read set to stay a superset of the pages
-  // the query depends on.
   store_->RecordPageRead(id);
-  // Only SPT-mapped pages have a stable identity: their content lives in
-  // an immutable archive record at a fixed offset. A page shared with the
-  // current database may change under a concurrently committing update, so
-  // it is deliberately unversioned (and thus uncacheable across reads).
+  // Only SPT-mapped pages carry a version token: a page shared with the
+  // current database records kUnversionedPageToken, which the memo
+  // validator and the skipper read as "still shared".
   auto it = spt_.find(id);
   if (it == spt_.end()) {
     RecordVersion(id, kUnversionedPageToken);
@@ -646,16 +672,55 @@ bool SnapshotView::PageVersion(storage::PageId id, uint64_t* version) {
   return true;
 }
 
+bool SnapshotView::CacheKey(storage::PageId id, uint64_t* key) {
+  // A scan-cache hit answers the read from this key lookup alone, never
+  // reaching ReadPage/ReadPagePinned — so the read must be recorded here
+  // for the iteration-skip and memo read sets to stay supersets of the
+  // pages the query depends on.
+  store_->RecordPageRead(id);
+  auto it = spt_.find(id);
+  if (it != spt_.end()) {
+    RecordVersion(id, it->second);
+    *key = it->second;
+    return true;
+  }
+  SnapshotId epoch;
+  {
+    int64_t lock_start_us = NowMicros();
+    std::shared_lock<std::shared_mutex> lock(store_->mu_);
+    store_->AddLockWaitUs(NowMicros() - lock_start_us);
+    epoch = store_->ModEpoch(id);
+  }
+  // Captured after this view was built: ReadPage refreshes the SPT and
+  // records the archived version.
+  if (epoch >= snap_) return false;
+  RecordVersion(id, kUnversionedPageToken);
+  return SharedPageKey(id, epoch, key);
+}
+
 Result<storage::PinnedPage> SnapshotView::ReadPagePinned(
     storage::PageId id) {
   store_->RecordPageRead(id);
   auto it = spt_.find(id);
-  if (it == spt_.end()) {
-    RecordVersion(id, kUnversionedPageToken);
-    return storage::PinnedPage();
+  if (it != spt_.end()) {
+    RecordVersion(id, it->second);
+    return store_->ReadArchivedPinned(it->second);
   }
-  RecordVersion(id, it->second);
-  return store_->ReadArchivedPinned(it->second);
+  // Shared with the current state when CacheKey keyed it; re-checked under
+  // the reader lock, so the copy is the keyed content — a capture in
+  // between (it moves the epoch to >= snap_) takes the ReadPage path.
+  int64_t lock_start_us = NowMicros();
+  std::shared_lock<std::shared_mutex> lock(store_->mu_);
+  store_->AddLockWaitUs(NowMicros() - lock_start_us);
+  if (store_->ModEpoch(id) >= snap_) return storage::PinnedPage();
+  {
+    std::lock_guard<std::mutex> stats_lock(store_->stats_mu_);
+    ++store_->stats_.db_page_reads;
+  }
+  RecordVersion(id, kUnversionedPageToken);
+  auto page = std::make_shared<storage::Page>();
+  RQL_RETURN_IF_ERROR(store_->store_->ReadPage(id, page.get()));
+  return storage::PinnedPage::Adopt(std::move(page));
 }
 
 Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {

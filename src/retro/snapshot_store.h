@@ -35,6 +35,38 @@ class PrefetchTracker {
   virtual void OnArchivedPageServed(uint64_t pagelog_offset) = 0;
 };
 
+/// Store-side hook of a decoded-page cache keyed by page content
+/// (sql::SharedScanCache). A page shared with the current state is keyed
+/// by SharedPageKey(page, ModEpoch(page)); the first write after a later
+/// snapshot declaration archives the page, after which that key can never
+/// be produced again and the same bytes live at a Pagelog offset. The
+/// store reports each such capture so the cache can re-key (or drop) the
+/// entry and keep in-flight decodes of the retired key from publishing.
+/// The callback runs with the store's lock held exclusively, so it must
+/// not call back into the store; the lock order is store -> listener.
+class CaptureListener {
+ public:
+  virtual ~CaptureListener() = default;
+  virtual void OnSharedPageCaptured(uint64_t shared_key,
+                                    uint64_t pagelog_offset) = 0;
+};
+
+/// Content key of page `id` as shared with the current state, last
+/// modified while `mod_epoch` was the latest snapshot. Sound because every
+/// later write archives the pre-state first and moves the page's epoch to
+/// at least the latest snapshot, so (id, mod_epoch) never names two
+/// contents. The top bit keeps the key disjoint from Pagelog offsets; page
+/// id and epoch pack injectively below it. Returns false (no key: read
+/// uncached) for an epoch too large to pack.
+inline bool SharedPageKey(storage::PageId id, SnapshotId mod_epoch,
+                          uint64_t* key) {
+  constexpr int kEpochBits = 31;
+  if (mod_epoch >= (1u << kEpochBits)) return false;
+  *key = (1ull << 63) | (static_cast<uint64_t>(id) << kEpochBits) |
+         mod_epoch;
+  return true;
+}
+
 /// Simulated device costs used to convert page-fetch counts into time.
 /// The paper's testbed keeps the current database memory-resident and the
 /// Pagelog on SSD; we model that with a per-page charge for Pagelog and
@@ -145,16 +177,25 @@ class SnapshotView : public storage::PageReader {
  public:
   Status ReadPage(storage::PageId id, storage::Page* page) override;
 
-  /// Pagelog offset of `id`'s archived version, for SPT-mapped pages. Two
-  /// snapshots mapping a page to the same offset share one immutable
-  /// archive record, so the offset is a stable cross-snapshot identity for
-  /// the page's content (the scan-reuse key). Pages shared with the
-  /// current database have no stable version and return false.
-  bool PageVersion(storage::PageId id, uint64_t* version) override;
+  /// Pagelog offset of `id`'s archived version, for SPT-mapped pages: the
+  /// version token the read-set recorders and the cross-run memo compare.
+  /// Pages shared with the current database return false (token
+  /// kUnversionedPageToken), whatever their cache key.
+  bool PageVersion(storage::PageId id, uint64_t* version);
 
-  /// Pins `id`'s archived version straight from the snapshot cache
-  /// (SPT-mapped pages only; empty pin otherwise). Stats accounting is
-  /// identical to ReadPage.
+  /// The decoded-page cache key: the Pagelog offset for SPT-mapped pages
+  /// (two snapshots mapping a page to one offset share one immutable
+  /// archive record), SharedPageKey(id, ModEpoch(id)) for pages this
+  /// snapshot shares with the current state. False for a page captured
+  /// after the view was built (ReadPage refreshes the SPT) or an epoch too
+  /// large to pack. Records the read exactly as PageVersion does.
+  bool CacheKey(storage::PageId id, uint64_t* key) override;
+
+  /// Pins `id`'s archived version straight from the snapshot cache, or a
+  /// private copy of a page shared with the current state — re-checking
+  /// under the store lock that it is still shared; a page captured since
+  /// CacheKey returns an empty pin, and the caller falls back to ReadPage.
+  /// Stats accounting is identical to ReadPage.
   Result<storage::PinnedPage> ReadPagePinned(storage::PageId id) override;
 
   SnapshotId id() const { return snap_; }
@@ -418,6 +459,14 @@ class SnapshotStore : public storage::PageWriter {
     return simulated_archive_fetch_slots_.load(std::memory_order_relaxed);
   }
 
+  /// Attaches a listener told of every capture of a page shared with the
+  /// current state (see CaptureListener); the returned handle detaches it
+  /// and must not outlive the store. Attachments nest: a listener attached
+  /// twice stays attached until both handles are gone, and is told once
+  /// per capture. Attaching and detaching take the store lock exclusively.
+  [[nodiscard]] ScopedCleanup AttachCaptureListener(
+      CaptureListener* listener);
+
   // --- instrumentation ----------------------------------------------------
   /// Counters are internally synchronized, but reading them mid-run yields
   /// a torn snapshot; read after workers join (as the RQL runner does).
@@ -532,6 +581,9 @@ class SnapshotStore : public storage::PageWriter {
   /// Requires mu_ held exclusively.
   Result<SnapshotId> DeclareSnapshotLocked();
 
+  /// Drops one attachment of `listener` (AttachCaptureListener's handle).
+  void DetachCaptureListener(CaptureListener* listener);
+
   /// OpenSnapshot's exclusive path: snapshot-set sessions advance a shared
   /// cursor, so they cannot run under the reader lock. Requires mu_ held
   /// exclusively; re-checks snapshot_set_active_ and falls back to a cold
@@ -612,6 +664,9 @@ class SnapshotStore : public storage::PageWriter {
   // slot; prefetch loaders stay parked while this is nonzero.
   int demand_slot_waiters_ = 0;
   std::atomic<uint64_t> truncate_epoch_{0};
+  // Attached capture listeners with their attachment counts; guarded by
+  // mu_ (attach/detach exclusive, notified from CaptureIfNeeded).
+  std::vector<std::pair<CaptureListener*, int>> capture_listeners_;
   std::atomic<PrefetchTracker*> prefetch_tracker_{nullptr};
   std::atomic<MetricsRegistry::Histogram*> diff_depth_hist_{nullptr};
   std::atomic<std::unordered_set<storage::PageId>*> read_recorder_{nullptr};

@@ -959,8 +959,8 @@ Status RqlEngine::ValidateRunOptions(bool parallel) const {
   }
   if (!options_.cold_cache_per_iteration) return Status::OK();
   // The all-cold baseline pays every iteration's reads from an empty
-  // cache on the row-at-a-time pipeline. Each option below would
-  // silently measure something else.
+  // cache on the row-at-a-time pipeline (BeginRun selects the row path
+  // itself). Each option below would silently measure something else.
   struct Conflict {
     bool set;
     const char* option;
@@ -972,8 +972,6 @@ Status RqlEngine::ValidateRunOptions(bool parallel) const {
        "race with concurrent readers"},
       {options_.skip_unchanged_iterations, "skip_unchanged_iterations",
        "a skipped iteration reads nothing"},
-      {options_.batch_execution, "batch_execution",
-       "the baseline measures the row-at-a-time pipeline"},
       {options_.memoize_iterations, "memoize_iterations",
        "a memo-replayed iteration reads nothing"},
       {options_.shared_scan_cache != nullptr, "shared_scan_cache",
@@ -1012,7 +1010,7 @@ Status RqlEngine::BeginRun(bool parallel, int64_t snapshots) {
   store->set_diff_depth_histogram(
       metrics()->GetHistogram("rql.pagelog.diff_depth"));
   data_db_->set_scan_cache(options_.shared_scan_cache);
-  if (options_.batch_execution) {
+  if (options_.batch_execution && !options_.cold_cache_per_iteration) {
     data_db_->set_batch_execution(
         true, metrics()->GetHistogram("rql.batch_size"));
   }
@@ -1227,9 +1225,9 @@ Status RqlEngine::RunMechanismParallel(
 
   // Resolved once before the threads spawn; Histogram observation itself
   // is atomic, so the workers share the instance.
+  const bool batch = data_db_->batch_execution();
   retro::MetricsRegistry::Histogram* batch_hist =
-      options_.batch_execution ? metrics()->GetHistogram("rql.batch_size")
-                               : nullptr;
+      batch ? metrics()->GetHistogram("rql.batch_size") : nullptr;
   std::vector<QqResult> results(snaps.size());
   std::atomic<size_t> next{0};
   int workers = std::min<int>(options_.parallel_workers,
@@ -1298,7 +1296,7 @@ Status RqlEngine::RunMechanismParallel(
         // BeginRun), so a page version shared across their snapshots
         // decodes once.
         ctx.scan_cache = data_db_->scan_cache();
-        ctx.batch_execution = options_.batch_execution;
+        ctx.batch_execution = batch;
         ctx.batch_size_hist = batch_hist;
         RQL_ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectExecutor> exec,
                              sql::SelectExecutor::Prepare(select, ctx));

@@ -56,12 +56,13 @@ struct RqlIterationStats {
   // defaults; see RqlOptions::shared_scan_cache /
   // skip_unchanged_iterations).
   /// Scan-path pages served from the attached decoded-page cache: the page
-  /// version (Pagelog offset) was already fetched and tuple-decoded for an
+  /// content key (a Pagelog offset, or page + epoch for a page shared with
+  /// the current state) was already fetched and tuple-decoded for an
   /// earlier snapshot of this run, or for any other run handed the same
   /// cache.
   int64_t shared_page_hits = 0;
-  /// Scan-path pages the cache could not serve (versioned pages that had
-  /// to be fetched and decoded). hits / (hits + misses) is the decode
+  /// Scan-path pages the cache could not serve (keyed pages that had to
+  /// be fetched and decoded). hits / (hits + misses) is the decode
   /// reuse ratio of the iteration.
   int64_t scan_cache_misses = 0;
   /// Subset of shared_page_hits served by blocking on another run's (or
@@ -74,9 +75,10 @@ struct RqlIterationStats {
   /// True when Qq was not executed: the delta missed the previous
   /// iteration's read set, so its result was replayed instead.
   bool skipped = false;
-  // Batch-execution counters (RqlOptions::batch_execution; zero at
-  // paper-faithful defaults, zero for skipped/replayed iterations, and
-  // zero when Qq's plan fell back to the row path entirely).
+  // Batch-execution counters (RqlOptions::batch_execution; zero in the
+  // cold_cache_per_iteration baseline, zero for skipped/replayed
+  // iterations, and zero when Qq's plan fell back to the row path
+  // entirely).
   /// Page-sized RowBatches the vectorized scan served to Qq.
   int64_t batches_scanned = 0;
   /// Rows those batches carried (pre-filter).
@@ -223,12 +225,13 @@ struct RqlOptions {
   /// Clear the snapshot cache before every iteration: the paper's
   /// "all-cold" baseline run, denominator of the ratio C (Section 5.1).
   /// The baseline is the paper's row-at-a-time pipeline reading every
-  /// iteration from an empty cache, so runs reject (InvalidArgument, before
-  /// the result table is touched) every option that would silently
-  /// measure something else: skip_unchanged_iterations, batch_execution,
-  /// memoize_iterations, shared_scan_cache, async_prefetch, and
-  /// parallel_workers > 1 when the run would actually take the parallel
-  /// path (concurrent iterations share the cache).
+  /// iteration from an empty cache, so it selects the row path whatever
+  /// batch_execution says, and runs reject (InvalidArgument, before the
+  /// result table is touched) every option that would silently measure
+  /// something else: skip_unchanged_iterations, memoize_iterations,
+  /// shared_scan_cache, async_prefetch, and parallel_workers > 1 when the
+  /// run would actually take the parallel path (concurrent iterations
+  /// share the cache).
   bool cold_cache_per_iteration = false;
   /// Drop a pre-existing result table T before a mechanism recreates it.
   bool replace_result_table = true;
@@ -286,9 +289,11 @@ struct RqlOptions {
   /// silently keep the row path). Results are byte-identical to the row
   /// path. Pays off most on CPU-bound scans and composes with
   /// shared_scan_cache, whose cached decoded pages the batches borrow
-  /// zero-copy. Counted in RqlIterationStats::batches_scanned /
-  /// batch_rows / batch_fallback_rows and the "rql.batch_size" histogram.
-  bool batch_execution = false;
+  /// zero-copy. On by default; the cold_cache_per_iteration baseline runs
+  /// the row path regardless. Counted in RqlIterationStats::
+  /// batches_scanned / batch_rows / batch_fallback_rows and the
+  /// "rql.batch_size" histogram.
+  bool batch_execution = true;
   /// Memoize per-iteration Qq results *across runs* (and across engines
   /// sharing one table) in the persistent retro::MemoTable pointed to by
   /// `memo`: every executed iteration publishes (canonicalized
@@ -311,11 +316,12 @@ struct RqlOptions {
   /// files (see MemoTable::Open).
   retro::MemoTable* memo = nullptr;
   /// Decoded-page cache the run's scans consult: table pages are keyed by
-  /// their physical version (the Pagelog offset the SPT resolves them to,
-  /// immutable and globally unique within a store), so a page version
-  /// shared by N snapshots is fetched and tuple-decoded once instead of N
-  /// times, with concurrent racers (parallel workers, overlapping runs)
-  /// coalescing onto a single in-flight decode. Hand each run its own
+  /// their content (the Pagelog offset the SPT resolves an archived page
+  /// to, or page + modification epoch for a page shared with the current
+  /// state; see SharedScanCache), so a page version shared by N snapshots
+  /// is fetched and tuple-decoded once instead of N times, with concurrent
+  /// racers (parallel workers, overlapping runs) coalescing onto a single
+  /// in-flight decode. Hand each run its own
   /// instance for run-private reuse, or every engine over one store the
   /// same instance to share decodes across runs; cross-run SPT-build
   /// sharing is the store owner's separate choice
@@ -326,6 +332,9 @@ struct RqlOptions {
   /// coalesced_decodes, surfaced as rql.scan_cache.* metrics, and traced
   /// in kScanCache events. Invalidated conservatively by TruncateHistory
   /// (entries a live run still holds stay alive through their shared_ptr).
+  /// A long-lived cache over a store that commits should also be attached
+  /// by the store's owner (SnapshotStore::AttachCaptureListener, as the
+  /// daemon does), so a write archiving a shared page re-keys its entry.
   sql::SharedScanCache* shared_scan_cache = nullptr;
   /// Overlap each iteration's archive I/O with the previous iteration's
   /// query execution: while Qq runs on snapshot s_i, a background

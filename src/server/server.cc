@@ -115,6 +115,10 @@ Result<std::unique_ptr<Server>> Server::Finish(ServerOptions options,
   s->options_.engine.shared_scan_cache = &s->scan_cache_;
   s->options_.engine.metrics = s->metrics_;
   s->data_->store()->set_share_spt_builds(true);
+  // Between runs too: a commit that archives a page shared with the
+  // current state re-keys its cached decode to the new Pagelog offset.
+  s->capture_attachment_ =
+      s->data_->store()->AttachCaptureListener(&s->scan_cache_);
   // The owner engine handles snapshot declaration and truncation; giving
   // it the shared cache keeps TruncateHistory's invalidation contract.
   RqlOptions owner_options = s->options_.engine;
@@ -850,7 +854,8 @@ std::string Server::StatsJson() {
       << ", \"coalesced_decodes\": " << cache.coalesced_decodes
       << ", \"inserts\": " << cache.inserts
       << ", \"entries\": " << cache.entries
-      << ", \"bytes\": " << cache.bytes << "},\n";
+      << ", \"bytes\": " << cache.bytes
+      << ", \"retired\": " << cache.retired << "},\n";
   out << "  \"store\": {"
       << "\"earliest_snapshot\": "
       << static_cast<int64_t>(data_->store()->earliest_snapshot())

@@ -69,9 +69,10 @@ struct ServerOptions {
   int64_t idle_timeout_us = 0;
   /// Base RqlOptions for session engines. The server injects
   /// shared_scan_cache, metrics, session_id and the per-run cancel/run_id
-  /// wiring itself, and enables cross-run SPT-build sharing on the store
-  /// it owns; everything else (batch_execution, incremental_spt, ...) is
-  /// taken as configured here.
+  /// wiring itself, enables cross-run SPT-build sharing on the store it
+  /// owns and attaches the shared cache to it as a capture listener;
+  /// everything else (incremental_spt, cold_cache_per_run, ...) is taken
+  /// as configured here.
   RqlOptions engine;
   /// Receives the server gauges (server.active_sessions,
   /// server.queued_runs, server.active_runs, server.admission_rejects,
@@ -182,6 +183,9 @@ class Server {
   std::atomic<int64_t> snapids_rebuilds_{0};
 
   sql::SharedScanCache scan_cache_;
+  /// Keeps scan_cache_ attached to the store's capture listeners for the
+  /// server's lifetime (declared after it, so it detaches first).
+  ScopedCleanup capture_attachment_;
   std::unique_ptr<RunScheduler> scheduler_;
 
   int listen_fd_ = -1;

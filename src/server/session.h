@@ -52,8 +52,8 @@ struct SnapIdsDelta {
 class Session {
  public:
   /// Attaches to `store` and builds the private metadata database. `base`
-  /// carries the server's engine wiring (shared_scan_cache, metrics,
-  /// batch_execution); the session id is stamped into it for tracing.
+  /// carries the server's engine wiring (shared_scan_cache, metrics); the
+  /// session id is stamped into it for tracing.
   static Result<std::unique_ptr<Session>> Create(uint64_t id,
                                                  retro::SnapshotStore* store,
                                                  const RqlOptions& base);

@@ -141,10 +141,10 @@ class Database {
   retro::SnapshotId last_declared_snapshot() const { return last_declared_; }
 
   /// Attaches (or with nullptr detaches) a decoded-page cache: AS OF
-  /// SELECTs pass it to the executor, which reuses decoded page versions
-  /// across the snapshots of an RQL run (and, when the cache is shared,
-  /// across runs). Current-state queries are unaffected (their pages carry
-  /// no stable version). The caller owns the cache and its lifetime.
+  /// SELECTs pass it to the executor, which reuses decoded pages across
+  /// the snapshots of an RQL run (and, when the cache is shared, across
+  /// runs). Current-state queries are unaffected (their pages carry no
+  /// content key). The caller owns the cache and its lifetime.
   void set_scan_cache(SharedScanCache* cache) { scan_cache_ = cache; }
   SharedScanCache* scan_cache() const { return scan_cache_; }
 

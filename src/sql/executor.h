@@ -82,9 +82,9 @@ struct ExecContext {
   retro::SnapshotId as_of = retro::kNoSnapshot;
   PlanCache* plan_cache = nullptr;  // optional
   /// Optional decoded-page cache. Sequential scans and transient-index
-  /// builds consult it for pages the reader versions (archived snapshot
-  /// pages); readers without stable page versions — the current state —
-  /// leave it untouched.
+  /// builds consult it for pages the reader can key (snapshot pages, see
+  /// PageReader::CacheKey); readers without content keys — the current
+  /// state — leave it untouched.
   SharedScanCache* scan_cache = nullptr;
   /// Batch-at-a-time execution (RqlOptions::batch_execution): eligible
   /// sequential scans run page-sized RowBatches through vectorized

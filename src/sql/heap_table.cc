@@ -75,6 +75,11 @@ void CompactPage(Page* page) {
 Status DecodePageRecords(const Page& page, DecodedPage* out) {
   out->next = page.ReadU32(kNextOff);
   uint16_t slot_count = page.ReadU16(kSlotCountOff);
+  // Sized once: cached entries live long, and doubling growth would leave
+  // up to half of each vector unused (and charged to the cache budget).
+  out->slots.reserve(slot_count);
+  out->records.reserve(slot_count);
+  out->rows.reserve(slot_count);
   for (int s = 0; s < slot_count; ++s) {
     uint16_t off, len;
     ReadSlot(page, s, &off, &len);
@@ -88,7 +93,7 @@ Status DecodePageRecords(const Page& page, DecodedPage* out) {
   return Status::OK();
 }
 
-// An unversioned page decoded for a batch scan: the frame must live as
+// An unkeyed page decoded for a batch scan: the frame must live as
 // long as the DecodedPage views into it, so both share one allocation
 // and batches hold the entry through an aliasing shared_ptr.
 struct OwnedDecodedPage {
@@ -297,7 +302,7 @@ HeapTable::Iterator::Iterator(storage::PageReader* reader, PageId root,
 
 namespace {
 
-// Decodes the pinned page version into a cache entry; nullptr when any
+// Decodes the pinned page into a cache entry; nullptr when any
 // record fails to decode (the row scan's plain path surfaces the error).
 std::shared_ptr<const DecodedPage> DecodePinnedPage(
     const Page& page, storage::PinnedPage pin) {
@@ -318,9 +323,9 @@ void HeapTable::Iterator::LoadPage(PageId id) {
     slot_count_ = 0;
     return;
   }
-  uint64_t version = 0;
-  if (cache_ != nullptr && reader_->PageVersion(id, &version)) {
-    SharedScanCache::AcquireResult acq = cache_->Acquire(version);
+  uint64_t key = 0;
+  if (cache_ != nullptr && reader_->CacheKey(id, &key)) {
+    SharedScanCache::AcquireResult acq = cache_->Acquire(key);
     if (acq.page != nullptr) {
       cached_ = std::move(acq.page);
       if (counters_ != nullptr) {
@@ -333,10 +338,10 @@ void HeapTable::Iterator::LoadPage(PageId id) {
     if (acq.claimed) {
       // This caller owns the decode: every exit below must either publish
       // (Insert) or release the claim (AbandonDecode) so single-flight
-      // waiters never hang on an abandoned version.
+      // waiters never hang on an abandoned key.
       Result<storage::PinnedPage> pinned = reader_->ReadPagePinned(id);
       if (!pinned.ok()) {
-        cache_->AbandonDecode(version);
+        cache_->AbandonDecode(key);
         status_ = pinned.status();
         valid_ = false;
         return;
@@ -345,11 +350,11 @@ void HeapTable::Iterator::LoadPage(PageId id) {
         const Page& frame = **pinned;  // outlives the move: the entry pins it
         auto decoded = DecodePinnedPage(frame, std::move(*pinned));
         if (decoded != nullptr) {
-          cached_ = cache_->Insert(version, std::move(decoded));
+          cached_ = cache_->Insert(key, std::move(decoded));
           return;
         }
       }
-      cache_->AbandonDecode(version);
+      cache_->AbandonDecode(key);
     }
     // No claim (a waited-on decode was abandoned), no pin, or undecodable
     // records: fall through to the plain path, which reports decode errors
@@ -411,9 +416,9 @@ HeapTable::BatchIterator::BatchIterator(storage::PageReader* reader,
 void HeapTable::BatchIterator::LoadBatch(PageId id) {
   while (id != kInvalidPageId) {
     std::shared_ptr<const DecodedPage> entry;
-    uint64_t version = 0;
-    if (cache_ != nullptr && reader_->PageVersion(id, &version)) {
-      SharedScanCache::AcquireResult acq = cache_->Acquire(version);
+    uint64_t key = 0;
+    if (cache_ != nullptr && reader_->CacheKey(id, &key)) {
+      SharedScanCache::AcquireResult acq = cache_->Acquire(key);
       if (acq.page != nullptr) {
         entry = std::move(acq.page);
         if (counters_ != nullptr) {
@@ -426,7 +431,7 @@ void HeapTable::BatchIterator::LoadBatch(PageId id) {
           // Claim held: publish or abandon on every exit (see LoadPage).
           Result<storage::PinnedPage> pinned = reader_->ReadPagePinned(id);
           if (!pinned.ok()) {
-            cache_->AbandonDecode(version);
+            cache_->AbandonDecode(key);
             status_ = pinned.status();
             valid_ = false;
             return;
@@ -436,15 +441,15 @@ void HeapTable::BatchIterator::LoadBatch(PageId id) {
             auto decoded = std::make_shared<DecodedPage>();
             status_ = DecodePageRecords(frame, decoded.get());
             if (!status_.ok()) {
-              cache_->AbandonDecode(version);
+              cache_->AbandonDecode(key);
               valid_ = false;
               return;
             }
             decoded->pin = std::move(*pinned);
-            entry = cache_->Insert(version, std::move(decoded));
+            entry = cache_->Insert(key, std::move(decoded));
           } else {
             // No pin: decode from a plain read below, like the row scan.
-            cache_->AbandonDecode(version);
+            cache_->AbandonDecode(key);
           }
         }
       }

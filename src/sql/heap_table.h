@@ -62,13 +62,15 @@ class HeapTable {
 
   /// Forward scan over any reader (the current state or a snapshot view).
   ///
-  /// With a SharedScanCache attached, pages the reader can assign a stable
-  /// version to (archived snapshot pages, keyed by Pagelog offset) are
-  /// decoded once per cache lifetime: the scan serves records — and
-  /// pre-decoded rows, see cached_row() — from the cached entry, and the
-  /// chain follows the entry's recorded successor without re-reading the
-  /// page. Unversioned pages (current-state, or shared-with-current) fall
-  /// back to the plain read-and-walk path, so a scan may mix both modes.
+  /// With a SharedScanCache attached, pages the reader can assign a
+  /// content key to (PageReader::CacheKey: archived snapshot pages by
+  /// Pagelog offset, pages a snapshot shares with the current state by
+  /// page and modification epoch) are decoded once per cache lifetime: the
+  /// scan serves records — and pre-decoded rows, see cached_row() — from
+  /// the cached entry, and the chain follows the entry's recorded
+  /// successor without re-reading the page. Unkeyed pages (the current
+  /// state itself) fall back to the plain read-and-walk path, so a scan
+  /// may mix both modes.
   class Iterator {
    public:
     /// True while positioned on a record. False at end or after error;
@@ -124,11 +126,11 @@ class HeapTable {
                        ScanCacheCounters* counters = nullptr);
 
   /// Page-at-a-time scan: each position is a RowBatch holding every live
-  /// record of one heap page, fully decoded. Pages the reader can version
-  /// go through the same cache protocol as Iterator (acquire / decode
-  /// once / publish), so hit accounting and read-set recording are
-  /// identical to the row scan; unversioned pages are decoded into a
-  /// batch-private buffer the RowBatch keeps alive. Pages with no live
+  /// record of one heap page, fully decoded. Pages the reader can key go
+  /// through the same cache protocol as Iterator (acquire / decode once /
+  /// publish), so hit accounting and read-set recording are identical to
+  /// the row scan; unkeyed pages are decoded into a batch-private buffer
+  /// the RowBatch keeps alive. Pages with no live
   /// records are skipped, so a valid batch is never empty. Unlike the
   /// row scan, an undecodable record fails the whole scan (status()).
   class BatchIterator {

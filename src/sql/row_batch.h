@@ -25,8 +25,8 @@ namespace rql::sql {
 /// initialize it to the identity and narrow it with each predicate.
 struct RowBatch {
   /// Lifetime anchor for `rows`. Either a SharedScanCache entry (shared,
-  /// version-keyed) or a batch-private decoded page for unversioned
-  /// pages; the executor never needs to distinguish the two.
+  /// content-keyed) or a batch-private decoded page for unkeyed pages;
+  /// the executor never needs to distinguish the two.
   std::shared_ptr<const DecodedPage> page;
   const Row* rows = nullptr;
   uint32_t size = 0;

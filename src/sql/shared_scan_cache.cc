@@ -97,6 +97,17 @@ void SharedScanCache::RemoveEntry(Shard* shard, uint64_t version,
   shard->entries.erase(version);
 }
 
+void SharedScanCache::AddEntry(Shard* shard, uint64_t version,
+                               Entry entry) {
+  entry.protected_seg = false;
+  shard->probation.push_front(version);
+  entry.lru_it = shard->probation.begin();
+  shard->bytes += entry.bytes;
+  bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
+  shard->entries.emplace(version, std::move(entry));
+  EvictIfNeeded(shard);
+}
+
 void SharedScanCache::EvictIfNeeded(Shard* shard) {
   while (shard->quota != 0 && shard->bytes > shard->quota &&
          !shard->entries.empty()) {
@@ -199,13 +210,8 @@ std::shared_ptr<const DecodedPage> SharedScanCache::Insert(
       Entry entry;
       entry.page = page;
       entry.bytes = EstimateBytes(*page);
-      shard->probation.push_front(version);
-      entry.lru_it = shard->probation.begin();
-      shard->bytes += entry.bytes;
-      bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
-      shard->entries.emplace(version, std::move(entry));
+      AddEntry(shard, version, std::move(entry));
       inserts_.fetch_add(1, std::memory_order_relaxed);
-      EvictIfNeeded(shard);
     }
   }
   if (fl != nullptr) {
@@ -259,6 +265,39 @@ void SharedScanCache::OnTruncateHistory(uint64_t keep_from) {
   truncate_invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void SharedScanCache::OnSharedPageCaptured(uint64_t shared_key,
+                                           uint64_t pagelog_offset) {
+  Entry moved;
+  bool found = false;
+  {
+    Shard* shard = ShardFor(shared_key);
+    std::lock_guard<std::mutex> lock(shard->mu);
+    auto it = shard->entries.find(shared_key);
+    if (it != shard->entries.end()) {
+      moved = it->second;
+      RemoveEntry(shard, shared_key, &it->second);
+      found = true;
+    }
+    auto in = shard->inflight.find(shared_key);
+    if (in != shard->inflight.end()) {
+      std::lock_guard<std::mutex> fl_lock(in->second->mu);
+      in->second->stale = true;
+      found = true;
+    }
+  }
+  if (!found) return;
+  retired_.fetch_add(1, std::memory_order_relaxed);
+  if (moved.page == nullptr) return;
+  // The offset is fresh (the capture that minted it still holds the store
+  // lock, so no view has resolved it yet); first publish wins regardless.
+  Shard* shard = ShardFor(pagelog_offset);
+  std::lock_guard<std::mutex> lock(shard->mu);
+  if (shard->entries.count(pagelog_offset) == 0 &&
+      shard->inflight.count(pagelog_offset) == 0) {
+    AddEntry(shard, pagelog_offset, std::move(moved));
+  }
+}
+
 uint64_t SharedScanCache::size() const {
   uint64_t n = 0;
   for (const auto& shard : shards_) {
@@ -278,6 +317,7 @@ SharedScanCache::Stats SharedScanCache::GetStats() const {
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.truncate_invalidations =
       truncate_invalidations_.load(std::memory_order_relaxed);
+  s.retired = retired_.load(std::memory_order_relaxed);
   s.bytes = bytes_.load(std::memory_order_relaxed);
   s.entries = size();
   return s;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/cleanup.h"
+#include "retro/snapshot_store.h"
 #include "sql/decoded_page.h"
 
 namespace rql::sql {
@@ -23,15 +24,26 @@ namespace rql::sql {
 /// hands each run its own instance; a daemon hands every session one
 /// store-scoped instance.
 ///
-/// The key is the page *version*: the Pagelog offset the snapshot page
-/// table resolves a (page, snapshot) pair to. Within one Pagelog
+/// The key is the page's content key (storage::PageReader::CacheKey).
+/// For an archived version it is the Pagelog offset the snapshot page
+/// table resolves a (page, snapshot) pair to: within one Pagelog
 /// generation an offset names immutable archived bytes, globally unique
-/// across every snapshot and every run over the store — which is what
-/// makes cross-run sharing sound: two runs that resolve the same version
-/// are by construction reading the same page pre-state, so one fetch +
+/// across every snapshot and every run over the store. For a page a
+/// snapshot shares with the current state it is retro::SharedPageKey(page,
+/// modification epoch): every later write archives the pre-state first
+/// and moves the epoch on, so the pair never names two contents either —
+/// which is what makes cross-run sharing sound: two runs that resolve the
+/// same key are by construction reading the same bytes, so one fetch +
 /// slot-walk + tuple-decode serves both. (`TruncateHistory` rewrites the
-/// Pagelog and rebases offsets, starting a new generation; see
+/// Pagelog, rebasing offsets and epochs, and starts a new generation; see
 /// OnTruncateHistory below.)
+///
+/// The cache is a retro::CaptureListener: attached to its store, it is told
+/// when a write archives a shared page, and re-keys the entry under the
+/// new Pagelog offset — where the views of older snapshots now find the
+/// same bytes through their SPT — instead of leaving a key nothing can
+/// produce again. A decode of the retired key still in flight completes
+/// for its waiters but is not published.
 ///
 /// Sharing across runs and threads takes three things:
 ///
@@ -48,14 +60,14 @@ namespace rql::sql {
 ///    storage::BufferPool's coalesced loads one layer up.
 ///  * Conservative invalidation from TruncateHistory, the same contract
 ///    as retro::MemoTable::InvalidateBelow: truncation rebases Pagelog
-///    offsets, so every cached version key is suspect and the cache is
-///    cleared outright. Stale hits are impossible afterwards; the cost
+///    offsets and recomputes modification epochs, so every cached key is
+///    suspect and the cache is cleared outright. Stale hits are impossible afterwards; the cost
 ///    is re-decoding on the next run.
 ///
 /// Sharded like BufferPool so concurrent runs on different versions do
 /// not contend; LRU order is approximate across the cache, exact within
 /// a shard.
-class SharedScanCache {
+class SharedScanCache : public retro::CaptureListener {
  public:
   struct Options {
     /// Budget across all shards; 0 = unbounded (never evicts).
@@ -74,6 +86,10 @@ class SharedScanCache {
     int64_t abandoned_decodes = 0;  // claims released without publishing
     int64_t evictions = 0;
     int64_t truncate_invalidations = 0;
+    /// Shared-page keys retired at capture: entries re-keyed to (or
+    /// dropped in favour of) their Pagelog offset, plus in-flight decodes
+    /// marked unpublishable.
+    int64_t retired = 0;
     uint64_t bytes = 0;
     uint64_t entries = 0;
   };
@@ -91,7 +107,7 @@ class SharedScanCache {
 
   SharedScanCache() : SharedScanCache(Options()) {}
   explicit SharedScanCache(Options options);
-  ~SharedScanCache();
+  ~SharedScanCache() override;
   SharedScanCache(const SharedScanCache&) = delete;
   SharedScanCache& operator=(const SharedScanCache&) = delete;
 
@@ -133,6 +149,14 @@ class SharedScanCache {
   /// symmetry; no finer-grained retention is attempted. In-flight decodes
   /// complete for their waiters but are not published.
   void OnTruncateHistory(uint64_t keep_from);
+
+  /// retro::CaptureListener: the shared page keyed `shared_key` was just
+  /// archived at `pagelog_offset`. Moves a resident entry to the offset key
+  /// (dropping it if that key is already taken) and marks an in-flight
+  /// decode of `shared_key` stale. Runs under the store's exclusive lock
+  /// and takes shard mutexes one at a time, never the other way round.
+  void OnSharedPageCaptured(uint64_t shared_key,
+                            uint64_t pagelog_offset) override;
 
   Stats GetStats() const;
   uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
@@ -182,9 +206,10 @@ class SharedScanCache {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
-    /// Set by Clear/OnTruncateHistory while the decode is in flight: the
-    /// result may be keyed by a rebased offset, so it must not be
-    /// published. Late arrivals skip stale claims entirely.
+    /// Set by Clear/OnTruncateHistory while the decode is in flight (the
+    /// result may be keyed by a rebased offset) or by a capture retiring
+    /// its shared-page key: it must not be published. Late arrivals skip
+    /// stale claims entirely.
     bool stale = false;
     std::shared_ptr<const DecodedPage> page;  // null when abandoned
   };
@@ -215,6 +240,9 @@ class SharedScanCache {
   /// probationary entries) and rebalances the segments. Caller holds
   /// shard->mu.
   void Touch(Shard* shard, Entry* entry, uint64_t version);
+  /// Links `entry` (page and bytes set) at the MRU end of probation and
+  /// evicts down to quota. Caller holds shard->mu; `version` is absent.
+  void AddEntry(Shard* shard, uint64_t version, Entry entry);
   /// Evicts from probation tail first, then protected, until the shard is
   /// within quota. Caller holds shard->mu.
   void EvictIfNeeded(Shard* shard);
@@ -231,6 +259,7 @@ class SharedScanCache {
   std::atomic<int64_t> abandons_{0};
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> truncate_invalidations_{0};
+  std::atomic<int64_t> retired_{0};
 };
 
 }  // namespace rql::sql

@@ -47,6 +47,12 @@ class PinnedPage {
  public:
   PinnedPage() = default;
 
+  /// A pin on a private copy no pool holds (a current-state page read for
+  /// a decoded-page cache entry): the pin is its only owner.
+  static PinnedPage Adopt(std::shared_ptr<const Page> page) {
+    return PinnedPage(std::move(page));
+  }
+
   const Page* get() const { return page_.get(); }
   const Page& operator*() const { return *page_; }
   const Page* operator->() const { return page_.get(); }

@@ -21,23 +21,25 @@ class PageReader {
   virtual ~PageReader() = default;
   virtual Status ReadPage(PageId id, Page* page) = 0;
 
-  /// Physical identity of the page version this reader resolves `id` to,
-  /// when one exists that is stable across readers. The Retro snapshot
-  /// view returns the page's Pagelog offset for SPT-mapped (archived)
-  /// pages: two snapshots resolving a page to the same offset see
-  /// byte-identical content, which is what makes cross-snapshot decoded-
-  /// page reuse sound. Readers of mutable state (the default) have no
-  /// stable version key and return false.
-  virtual bool PageVersion(PageId id, uint64_t* version) {
+  /// Content key of the page version this reader resolves `id` to, when
+  /// one exists that is stable across readers: two reads yielding the same
+  /// key see byte-identical pages, which is what makes cross-snapshot
+  /// decoded-page reuse sound. The Retro snapshot view keys archived pages
+  /// by their Pagelog offset and pages shared with the current state by
+  /// (page, modification epoch); see retro::SharedPageKey. Readers of
+  /// mutable state (the default) have no stable key and return false.
+  virtual bool CacheKey(PageId id, uint64_t* key) {
     (void)id;
-    (void)version;
+    (void)key;
     return false;
   }
 
-  /// Reads `id` as a ref-counted pin on an immutable cached page, when the
-  /// reader can serve one (the Retro view pins archived pages straight
-  /// from the snapshot cache, skipping the copy-out ReadPage does). An
-  /// empty pin means "unsupported here" — callers fall back to ReadPage.
+  /// Reads `id` as a ref-counted pin on an immutable page, when the reader
+  /// can serve one (the Retro view pins archived pages straight from the
+  /// snapshot cache, skipping the copy-out ReadPage does, and hands out a
+  /// pinned private copy of a page shared with the current state). An
+  /// empty pin means "not servable under the key CacheKey returned" —
+  /// callers fall back to ReadPage.
   virtual Result<PinnedPage> ReadPagePinned(PageId id) {
     (void)id;
     return PinnedPage();

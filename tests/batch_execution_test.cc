@@ -201,6 +201,7 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
 
   for (const Mech& m : mechs) {
     *f.engine->mutable_options() = RqlOptions{};
+    f.engine->mutable_options()->batch_execution = false;  // row oracle
     f.data->store()->ClearSnapshotCache();
     std::string base_table = std::string("base_") + m.name;
     ASSERT_TRUE(m.run(base_table).ok()) << m.name;
@@ -228,15 +229,9 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
                               "/workers=" + std::to_string(workers) +
                               (batch ? "/batch" : "/row");
           Status s = m.run(table);
-          if (batch && c.cold_iter) {
-            // Satellite check: batch_execution + cold_cache_per_iteration
-            // is rejected up front (the skip_unchanged precedent).
-            EXPECT_TRUE(s.IsInvalidArgument()) << label << ": "
-                                               << s.ToString();
-            EXPECT_EQ(f.meta->catalog()->data().FindTable(table), nullptr)
-                << label;
-            continue;
-          }
+          // The all-cold baseline selects the row path whatever
+          // batch_execution says; its other conflicts stay rejected.
+          const bool batched = batch && !c.cold_iter;
           if (c.cold_iter && workers > 1 && !s.ok()) {
             // Parallelizable mechanisms reject cold_iter + workers; the
             // order-dependent ones run sequentially and accept it.
@@ -253,7 +248,7 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
             batches += it.batches_scanned;
             batch_rows += it.batch_rows;
           }
-          if (batch) {
+          if (batched) {
             // Every Qq above is a plain single-table scan, so at least
             // the executed (non-skipped) iterations must take the
             // batch path.
@@ -269,16 +264,36 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
   }
 }
 
-TEST(BatchOptionsTest, BatchIncompatibleWithColdCachePerIteration) {
-  // The all-cold baseline measures the paper-faithful row pipeline; the
-  // combination is rejected before the result table is touched.
+TEST(BatchOptionsTest, ColdCachePerIterationSelectsRowPath) {
+  // The all-cold baseline measures the paper-faithful row pipeline: with
+  // batch_execution on (the default) it runs, row-at-a-time, and matches
+  // the batched run.
   Fixture f = MakeSparseFixture(7, 6, 4, 2);
-  f.engine->mutable_options()->batch_execution = true;
+  const std::string qs = "SELECT snap_id FROM SnapIds";
+  const std::string qq = "SELECT item FROM live";
+  ASSERT_TRUE(f.engine->options().batch_execution);
+  ASSERT_TRUE(f.engine->CollateData(qs, qq, "Batched").ok());
+  int64_t batches = 0;
+  for (const RqlIterationStats& it : f.engine->last_run_stats().iterations) {
+    batches += it.batches_scanned;
+  }
+  EXPECT_GT(batches, 0);
+
   f.engine->mutable_options()->cold_cache_per_iteration = true;
-  Status s = f.engine->CollateData("SELECT snap_id FROM SnapIds",
-                                   "SELECT item FROM live", "Result");
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_EQ(f.meta->catalog()->data().FindTable("Result"), nullptr);
+  Status s = f.engine->CollateData(qs, qq, "Result");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  for (const RqlIterationStats& it : f.engine->last_run_stats().iterations) {
+    EXPECT_EQ(it.batches_scanned, 0);
+    EXPECT_EQ(it.batch_rows, 0);
+  }
+  EXPECT_FALSE(f.data->batch_execution());  // EndRun restored it
+  auto batched = f.meta->Query("SELECT * FROM Batched");
+  auto cold = f.meta->Query("SELECT * FROM Result");
+  ASSERT_TRUE(batched.ok() && cold.ok());
+  ASSERT_EQ(batched->rows.size(), cold->rows.size());
+  for (size_t i = 0; i < cold->rows.size(); ++i) {
+    EXPECT_EQ(sql::EncodeRow(batched->rows[i]), sql::EncodeRow(cold->rows[i]));
+  }
 }
 
 /// Direct BatchIterator edge cases against the heap, current state

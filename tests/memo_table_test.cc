@@ -18,6 +18,7 @@
 
 #include "rql/rql.h"
 #include "sql/fingerprint.h"
+#include "sql/shared_scan_cache.h"
 #include "storage/fault_env.h"
 
 namespace rql {
@@ -473,6 +474,7 @@ Status RunMemoized(EngineFixture* f, const std::string& qs,
 Status RunPlain(EngineFixture* f, const std::string& qs,
                 const std::string& table) {
   *f->engine->mutable_options() = RqlOptions{};
+  f->engine->mutable_options()->batch_execution = false;  // flags off
   return f->engine->CollateData(qs, kQq, table);
 }
 
@@ -506,6 +508,33 @@ TEST(MemoStalenessTest, WarmRunReplaysEveryIteration) {
   ASSERT_TRUE(RunMemoized(&f, kQsAll, "Warm").ok());
   EXPECT_EQ(Dump(&f, "Warm"), baseline);
   EXPECT_EQ(SumHits(f.engine->last_run_stats()), 10);
+  EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 0);
+}
+
+TEST(MemoStalenessTest, SharedCacheWarmRunReplaysDbSharedPages) {
+  // From snapshot 5 on, `live` is read from pages shared with the current
+  // state. An attached decoded-page cache keys those pages by content
+  // (page, epoch) and serves them across snapshots, while the memo still
+  // records them as db-shared: a warm run replays every iteration.
+  EngineFixture f = MakeEngineFixture(10, 5);
+  const std::string qs = "SELECT snap_id FROM SnapIds WHERE snap_id >= 5";
+  ASSERT_TRUE(RunPlain(&f, qs, "Base").ok());
+  const std::vector<std::string> baseline = Dump(&f, "Base");
+
+  sql::SharedScanCache cache;
+  RqlOptions opts;
+  opts.memoize_iterations = true;
+  opts.memo = f.memo.get();
+  opts.shared_scan_cache = &cache;
+  *f.engine->mutable_options() = opts;
+  ASSERT_TRUE(f.engine->CollateData(qs, kQq, "Cold").ok());
+  EXPECT_EQ(Dump(&f, "Cold"), baseline);
+  EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 6);
+  EXPECT_GT(f.engine->last_run_stats().shared_page_hits, 0);
+
+  ASSERT_TRUE(f.engine->CollateData(qs, kQq, "Warm").ok());
+  EXPECT_EQ(Dump(&f, "Warm"), baseline);
+  EXPECT_EQ(SumHits(f.engine->last_run_stats()), 6);
   EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 0);
 }
 

@@ -188,6 +188,7 @@ TEST_F(RqlErrorPathsTest, ColdCachePerIterationConflictsRejectedInBothForms) {
   // the UDF form alike, naming the conflicting option and leaving the
   // metadata database untouched. The UDF form is always sequential, so
   // only the programmatic form can conflict through parallel workers.
+  // batch_execution is no conflict: the baseline selects the row path.
   auto memo = retro::MemoTable::Open(&env_, "memo");
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
   sql::SharedScanCache cache;
@@ -199,8 +200,6 @@ TEST_F(RqlErrorPathsTest, ColdCachePerIterationConflictsRejectedInBothForms) {
   const Conflict conflicts[] = {
       {"skip_unchanged_iterations",
        [](RqlOptions* o) { o->skip_unchanged_iterations = true; }, true},
-      {"batch_execution", [](RqlOptions* o) { o->batch_execution = true; },
-       true},
       {"memoize_iterations",
        [&](RqlOptions* o) {
          o->memoize_iterations = true;
@@ -248,6 +247,29 @@ TEST_F(RqlErrorPathsTest, ColdCachePerIterationConflictsRejectedInBothForms) {
   }
   // Validation fires before any iteration: the memo stayed empty.
   EXPECT_EQ((*memo)->entry_count(), 0u);
+
+  // With batch_execution on, both forms run the baseline row-at-a-time.
+  auto expect_row_path = [&](const Status& s, const std::string& label) {
+    ASSERT_TRUE(s.ok()) << label << ": " << s.ToString();
+    const RqlRunStats& stats = engine_->last_run_stats();
+    EXPECT_FALSE(stats.iterations.empty()) << label;
+    for (const RqlIterationStats& it : stats.iterations) {
+      EXPECT_EQ(it.batches_scanned, 0) << label;
+    }
+    EXPECT_FALSE(data_->batch_execution()) << label;
+  };
+  RqlOptions cold;
+  cold.cold_cache_per_iteration = true;
+  cold.batch_execution = true;
+  *engine_->mutable_options() = cold;
+  expect_row_path(engine_->CollateData("SELECT snap_id FROM SnapIds",
+                                       "SELECT k FROM t", "ColdRows"),
+                  "programmatic/batch_execution");
+  Status udf = meta_->Exec(
+      "SELECT CollateData(snap_id, 'SELECT k FROM t', 'ColdRowsUdf') "
+      "FROM SnapIds");
+  ASSERT_TRUE(udf.ok()) << udf.ToString();
+  expect_row_path(engine_->FinishUdfRuns(), "udf/batch_execution");
 }
 
 }  // namespace

@@ -410,6 +410,8 @@ TEST_P(RqlPropertyTest, AmortizationFlagsPreserveCollateOutput) {
     return out;
   };
 
+  // Flags off, row path; the configs below flip only the amortizations.
+  f.engine->mutable_options()->batch_execution = false;
   f.data->store()->ClearSnapshotCache();
   ASSERT_TRUE(f.engine->CollateData(qs, qq, "Baseline").ok());
   int64_t baseline_parses = f.engine->last_run_stats().qq_parse_count;
@@ -609,6 +611,7 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
 
   for (const Mech& m : mechs) {
     *f.engine->mutable_options() = RqlOptions{};
+    f.engine->mutable_options()->batch_execution = false;  // flags off
     f.engine->mutable_options()->metrics = &registry;
     f.data->store()->ClearSnapshotCache();
     std::string base_table = std::string("base_") + m.name;
@@ -630,6 +633,9 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
       opts.reuse_qq_plan = c.amort;
       opts.batch_pagelog_reads = c.amort;
       opts.parallel_workers = c.workers;
+      // The row path; batch_execution_test crosses this matrix with
+      // batches.
+      opts.batch_execution = false;
       // Options are replaced wholesale above, so the registry has to be
       // re-installed for every configuration.
       opts.metrics = &registry;
@@ -779,6 +785,7 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
 
   for (const Mech& m : mechs) {
     *f.engine->mutable_options() = RqlOptions{};
+    f.engine->mutable_options()->batch_execution = false;  // flags off
     f.data->store()->ClearSnapshotCache();
     std::string base_table = std::string("base_") + m.name;
     ASSERT_TRUE(m.run(base_table).ok()) << m.name;
@@ -932,6 +939,7 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
   sql::SharedScanCache shared_cache;
   for (const Mech& m : mechs) {
     *f.engine->mutable_options() = RqlOptions{};
+    f.engine->mutable_options()->batch_execution = false;  // flags off
     f.data->store()->ClearSnapshotCache();
     std::string base_table = std::string("base_") + m.name;
     ASSERT_TRUE(m.run(base_table).ok()) << m.name;

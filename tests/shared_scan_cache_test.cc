@@ -2,8 +2,10 @@
 // accounting, eviction while a reader still holds the entry, per-version
 // single-flight decode (publish, abandon, and truncation-stale paths),
 // conservative TruncateHistory invalidation with a run in progress, the
-// scoped metrics handle, and a TSan-able stress mix of concurrent
-// attached engines validated against a sequential flag-off oracle.
+// scoped metrics handle, shared-page keys retired at capture (re-keyed,
+// or suppressed while a decode is in flight), and TSan-able stress mixes
+// of concurrent attached engines and of scans racing a writer, validated
+// against uncached oracles.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "retro/metrics.h"
 #include "rql/rql.h"
+#include "sql/heap_table.h"
 #include "sql/shared_scan_cache.h"
 #include "storage/env.h"
 #include "storage/page.h"
@@ -166,6 +170,57 @@ TEST(SharedScanCacheTest, ClearDuringInflightDecodeSuppressesPublish) {
   cache.Insert(3, MakePage(33));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Lookup(3), nullptr);
+}
+
+TEST(SharedScanCacheTest, CaptureReKeysResidentEntryToItsOffset) {
+  SharedScanCache cache;
+  const uint64_t shared_key = (1ull << 63) | 42;
+  ASSERT_TRUE(cache.Acquire(shared_key).claimed);
+  auto held = cache.Insert(shared_key, MakePage(7));
+  const uint64_t bytes = cache.bytes();
+
+  cache.OnSharedPageCaptured(shared_key, 4096);
+  EXPECT_EQ(cache.Lookup(shared_key), nullptr);
+  auto moved = cache.Lookup(4096);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(moved.get(), held.get()) << "re-keyed, not re-decoded";
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.bytes(), bytes);
+  SharedScanCache::Stats s = cache.GetStats();
+  EXPECT_EQ(s.retired, 1);
+  EXPECT_EQ(s.inserts, 1);
+
+  // A key nothing cached is no retirement; an offset already taken keeps
+  // its entry and the retired one is dropped.
+  cache.OnSharedPageCaptured((1ull << 63) | 43, 8192);
+  EXPECT_EQ(cache.GetStats().retired, 1);
+  ASSERT_TRUE(cache.Acquire(shared_key + 1).claimed);
+  cache.Insert(shared_key + 1, MakePage(8));
+  cache.OnSharedPageCaptured(shared_key + 1, 4096);
+  EXPECT_EQ(PageTag(*cache.Lookup(4096)), 7);
+  EXPECT_EQ(cache.Lookup(shared_key + 1), nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.GetStats().retired, 2);
+}
+
+TEST(SharedScanCacheTest, CaptureDuringInflightDecodeSuppressesPublish) {
+  SharedScanCache cache;
+  const uint64_t shared_key = (1ull << 63) | 9;
+  ASSERT_TRUE(cache.Acquire(shared_key).claimed);
+  cache.OnSharedPageCaptured(shared_key, 512);
+  EXPECT_EQ(cache.GetStats().retired, 1);
+
+  SharedScanCache::AcquireResult late = cache.Acquire(shared_key);
+  EXPECT_EQ(late.page, nullptr);
+  EXPECT_FALSE(late.claimed);
+
+  // The claimant's result still serves the claimant, but is published
+  // neither under the retired key nor under the offset.
+  auto served = cache.Insert(shared_key, MakePage(99));
+  EXPECT_EQ(PageTag(*served), 99);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.Contains(shared_key));
+  EXPECT_FALSE(cache.Contains(512));
 }
 
 TEST(SharedScanCacheTest, TruncateInvalidationIsConservative) {
@@ -346,7 +401,9 @@ TEST(SharedScanCacheEngineTest, TruncateHistoryInvalidatesMidLifeCache) {
   auto oracle_env = std::make_unique<storage::InMemoryEnv>();
   auto oracle_meta = sql::Database::Open(oracle_env.get(), "meta");
   ASSERT_TRUE(oracle_meta.ok());
-  RqlEngine oracle(oracle_data->get(), oracle_meta->get());
+  RqlOptions oracle_options;
+  oracle_options.batch_execution = false;
+  RqlEngine oracle(oracle_data->get(), oracle_meta->get(), oracle_options);
   ASSERT_TRUE(oracle.EnsureSnapIds().ok());
   for (retro::SnapshotId s = keep_from; s <= f.last_snap; ++s) {
     ASSERT_TRUE((*oracle_meta)
@@ -367,6 +424,7 @@ TEST(SharedScanCacheEngineTest, ConcurrentAttachedRunsMatchSequentialOracle) {
   const std::string qs = QsRange(1, f.last_snap);
 
   // Sequential flag-off oracle on the owning engine.
+  f.engine->mutable_options()->batch_execution = false;
   ASSERT_TRUE(f.engine->CollateData(qs, kQq, "Oracle").ok());
   const std::vector<std::string> oracle = CollectRows(f.meta.get(), "Oracle");
   ASSERT_FALSE(oracle.empty());
@@ -449,6 +507,173 @@ TEST(SharedScanCacheEngineTest, ConcurrentAttachedRunsMatchSequentialOracle) {
   EXPECT_EQ(coalesced, s.coalesced_decodes);
   EXPECT_GT(hits, 0);
   EXPECT_EQ(s.inserts, static_cast<int64_t>(s.entries));
+}
+
+// --- shared-page keys retired by a concurrent writer -----------------------
+
+storage::PageId TableRoot(sql::Database* data, const std::string& table) {
+  const sql::TableInfo* info = data->catalog()->data().FindTable(table);
+  EXPECT_NE(info, nullptr);
+  return info == nullptr ? storage::kInvalidPageId : info->root;
+}
+
+/// Encoded rows of one heap scan through `reader`, row or batch path,
+/// with or without a decoded-page cache.
+std::vector<std::string> ScanRows(storage::PageReader* reader,
+                                  storage::PageId root,
+                                  SharedScanCache* cache, bool batch) {
+  std::vector<std::string> out;
+  if (batch) {
+    auto it = sql::HeapTable::ScanBatches(reader, root, cache);
+    for (; it.Valid(); it.Next()) {
+      const sql::RowBatch& b = it.batch();
+      for (uint32_t i = 0; i < b.size; ++i) {
+        out.push_back(sql::EncodeRow(b.rows[i]));
+      }
+    }
+    EXPECT_TRUE(it.status().ok()) << it.status().ToString();
+    return out;
+  }
+  auto it = sql::HeapTable::Scan(reader, root, cache);
+  for (; it.Valid(); it.Next()) {
+    if (const Row* row = it.cached_row()) {
+      out.push_back(sql::EncodeRow(*row));
+      continue;
+    }
+    auto row = sql::DecodeRow(it.record());
+    EXPECT_TRUE(row.ok()) << row.status().ToString();
+    if (row.ok()) out.push_back(sql::EncodeRow(*row));
+  }
+  EXPECT_TRUE(it.status().ok()) << it.status().ToString();
+  return out;
+}
+
+TEST(SharedScanCacheEngineTest, CaptureRetiresKeyWhileReaderHoldsClaim) {
+  EngineFixture f = MakeHistory(4);
+  retro::SnapshotStore* store = f.data->store();
+  SharedScanCache cache;
+  ScopedCleanup attached = store->AttachCaptureListener(&cache);
+  const storage::PageId root = TableRoot(f.data.get(), "t");
+
+  // Every page of `t` was rewritten before the last snapshot and not
+  // since: the last snapshot shares them with the current state.
+  auto view = store->OpenSnapshot(f.last_snap);
+  ASSERT_TRUE(view.ok());
+  uint64_t key = 0;
+  ASSERT_TRUE((*view)->CacheKey(root, &key));
+  ASSERT_NE(key & (1ull << 63), 0u);
+  ASSERT_TRUE(cache.Acquire(key).claimed);
+  auto pin = (*view)->ReadPagePinned(root);
+  ASSERT_TRUE(pin.ok() && *pin);
+
+  // The writer archives the page while the reader holds the claim.
+  std::thread writer([&f] {
+    EXPECT_TRUE(f.data->Exec("UPDATE t SET v = v + 1 WHERE k = 0").ok());
+  });
+  writer.join();
+  EXPECT_EQ(cache.GetStats().retired, 1);
+  uint64_t offset = 0;
+  auto fresh = store->OpenSnapshot(f.last_snap);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE((*fresh)->CacheKey(root, &offset));
+  EXPECT_EQ(offset & (1ull << 63), 0u);
+
+  // The claimant finishes; nothing is published under either key.
+  cache.Insert(key, MakePage(1));
+  EXPECT_FALSE(cache.Contains(key));
+  EXPECT_FALSE(cache.Contains(offset));
+  EXPECT_EQ(cache.size(), 0u);
+
+  // Every snapshot, scanned both ways through the cache, matches an
+  // uncached scan, and the current state moved on.
+  for (retro::SnapshotId s = 1; s <= f.last_snap; ++s) {
+    auto v = store->OpenSnapshot(s);
+    ASSERT_TRUE(v.ok());
+    const std::vector<std::string> oracle =
+        ScanRows(v->get(), root, nullptr, false);
+    ASSERT_FALSE(oracle.empty());
+    for (bool batch : {false, true}) {
+      EXPECT_EQ(ScanRows(v->get(), root, &cache, batch), oracle)
+          << "snapshot " << s << (batch ? " batch" : " row");
+    }
+  }
+  EXPECT_NE(ScanRows(store, root, nullptr, false),
+            ScanRows(fresh->get(), root, nullptr, false));
+}
+
+TEST(SharedScanCacheEngineTest, ScansRacingAWriterMatchUncachedOracle) {
+  EngineFixture f = MakeHistory(3);
+  retro::SnapshotStore* store = f.data->store();
+  SharedScanCache cache;
+  ScopedCleanup attached = store->AttachCaptureListener(&cache);
+  const storage::PageId root = TableRoot(f.data.get(), "t");
+  std::atomic<uint32_t> latest{f.last_snap};
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  {
+    // Warm: the last snapshot shares every page of `t` with the current
+    // state, so the writer's first update retires cached keys.
+    auto view = store->OpenSnapshot(f.last_snap);
+    ASSERT_TRUE(view.ok());
+    ASSERT_FALSE(ScanRows(view->get(), root, &cache, false).empty());
+  }
+
+  std::thread writer([&] {
+    Random rng(7);
+    for (int i = 0; i < 40; ++i) {
+      const std::string update =
+          "UPDATE t SET v = v + 1 WHERE k % 37 = " +
+          std::to_string(rng.Uniform(37));
+      EXPECT_TRUE(f.data->Exec(update).ok());
+      if (i % 2 == 1) {
+        auto snap = f.engine->CommitWithSnapshot("w" + std::to_string(i));
+        if (!snap.ok()) {
+          ADD_FAILURE() << snap.status().ToString();
+          break;
+        }
+        latest.store(*snap);
+      }
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Random rng(100 + static_cast<uint64_t>(t));
+      while (!done.load()) {
+        const uint32_t last = latest.load();
+        const uint32_t snap =
+            rng.Uniform(2) == 0
+                ? last
+                : static_cast<uint32_t>(1 + rng.Uniform(last));
+        auto view = store->OpenSnapshot(snap);
+        ASSERT_TRUE(view.ok());
+        const std::vector<std::string> oracle =
+            ScanRows(view->get(), root, nullptr, false);
+        if (ScanRows(view->get(), root, &cache, rng.Uniform(2) == 0) !=
+            oracle) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(cache.GetStats().retired, 0);
+
+  // Quiesced: whatever the races left in the cache serves every snapshot
+  // exactly as the uncached path reads it.
+  for (retro::SnapshotId s = 1; s <= latest.load(); ++s) {
+    auto v = store->OpenSnapshot(s);
+    ASSERT_TRUE(v.ok());
+    const std::vector<std::string> oracle =
+        ScanRows(v->get(), root, nullptr, false);
+    for (bool batch : {false, true}) {
+      EXPECT_EQ(ScanRows(v->get(), root, &cache, batch), oracle)
+          << "snapshot " << s;
+    }
+  }
 }
 
 }  // namespace

@@ -38,6 +38,7 @@ SECTIONS = {
         "inserts": int,
         "entries": int,
         "bytes": int,
+        "retired": int,
     },
     "store": {
         "earliest_snapshot": int,
@@ -93,6 +94,7 @@ def check_stats(doc):
             "more resident entries than publishes")
     require((cache["bytes"] > 0) == (cache["entries"] > 0), "$.scan_cache",
             "bytes/entries disagree about residency")
+    require(cache["retired"] >= 0, "$.scan_cache.retired", "negative count")
 
     store = doc["store"]
     require(store["earliest_snapshot"] <= store["latest_snapshot"] + 1,

@@ -20,7 +20,6 @@
 //   --queue-limit N        pending-run admission bound   (default 16)
 //   --workers N            shared parallel-worker budget (default 4)
 //   --idle-timeout-ms N    disconnect idle sessions      (default off)
-//   --batch                enable vectorized Qq execution
 //
 // The daemon exits on SIGINT/SIGTERM after a clean Stop(): sessions are
 // disconnected, their runs cancelled and drained, the socket unlinked.
@@ -46,7 +45,7 @@ int Usage(const char* argv0) {
                "usage: %s --socket PATH [--store PREFIX] [--seed-demo]\n"
                "          [--max-sessions N] [--dispatch N] "
                "[--queue-limit N]\n"
-               "          [--workers N] [--idle-timeout-ms N] [--batch]\n",
+               "          [--workers N] [--idle-timeout-ms N]\n",
                argv0);
   return 2;
 }
@@ -113,8 +112,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       options.idle_timeout_us = std::atoll(v) * 1000;
-    } else if (arg == "--batch") {
-      options.engine.batch_execution = true;
     } else {
       return Usage(argv[0]);
     }
