@@ -299,6 +299,17 @@ Status Server::SendResult(Conn* conn, const sql::QueryResult& result) {
   return SendReply(conn, MsgType::kResult, payload);
 }
 
+Result<retro::SnapshotId> Server::DeclareSnapshot(const std::string& label) {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  RQL_ASSIGN_OR_RETURN(retro::SnapshotId snap,
+                       owner_engine_->CommitWithSnapshot("", label));
+  // The row CommitWithSnapshot just appended to the owner table.
+  std::lock_guard<std::mutex> log_lock(snapids_mu_);
+  snapids_.push_back({sql::Value::Integer(snap), sql::Value::Text(""),
+                      sql::Value::Text(label)});
+  return snap;
+}
+
 Status Server::RefreshSnapIds(Session* session) {
   const Session::SnapIdsMirror& mirror = session->snapids_mirror();
   SnapIdsDelta delta;
@@ -610,17 +621,10 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
         (void)SendError(conn, reader.status());
         return true;
       }
-      std::lock_guard<std::mutex> lock(write_mu_);
-      auto snap = owner_engine_->CommitWithSnapshot("", label);
+      auto snap = DeclareSnapshot(label);
       if (!snap.ok()) {
         (void)SendError(conn, snap.status());
         return true;
-      }
-      {
-        // The row CommitWithSnapshot just appended to the owner table.
-        std::lock_guard<std::mutex> log_lock(snapids_mu_);
-        snapids_.push_back({sql::Value::Integer(*snap), sql::Value::Text(""),
-                            sql::Value::Text(label)});
       }
       std::string payload;
       PutU32(&payload, static_cast<uint32_t>(*snap));

@@ -110,6 +110,13 @@ class Server {
 
   const std::string& socket_path() const { return options_.socket_path; }
 
+  /// Declares a snapshot of the owner's current state labelled `label`
+  /// through the owner engine and appends it to the canonical SnapIds
+  /// log, under write_mu_ -> snapids_mu_. The kSnapshot handler and
+  /// in-process seeding (before or after Start) both use it, so every
+  /// declaration reaches the sessions' SnapIds mirrors.
+  Result<retro::SnapshotId> DeclareSnapshot(const std::string& label);
+
   /// The kStats document (also returned over the wire): server, scheduler,
   /// shared scan cache, store and snapids sections.
   std::string StatsJson();

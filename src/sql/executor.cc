@@ -798,30 +798,21 @@ bool SelectExecutor::CanUseBatchScan() const {
 }
 
 Status SelectExecutor::ApplyBatchFilter(const Expr* pred, bool vectorized,
-                                        RowBatch* batch,
-                                        std::vector<Value>* scratch) {
+                                        RowBatch* batch) {
   if (pred == nullptr || batch->selection.empty()) return Status::OK();
-  size_t keep = 0;
   if (vectorized) {
-    RQL_RETURN_IF_ERROR(EvalBatch(*pred, batch->rows,
-                                  batch->selection.data(),
-                                  batch->selection.size(), scratch));
-    for (size_t i = 0; i < batch->selection.size(); ++i) {
-      if (ValueIsTrue((*scratch)[i])) {
-        batch->selection[keep++] = batch->selection[i];
-      }
-    }
-  } else {
-    if (ctx_.stats != nullptr) {
-      ctx_.stats->batch_fallback_rows +=
-          static_cast<int64_t>(batch->selection.size());
-    }
-    for (uint32_t idx : batch->selection) {
-      const Row& row = batch->rows[idx];
-      EvalContext ectx{&row, ctx_.functions, nullptr, nullptr, this};
-      RQL_ASSIGN_OR_RETURN(Value cond, EvalExpr(*pred, ectx));
-      if (ValueIsTrue(cond)) batch->selection[keep++] = idx;
-    }
+    return FilterBatch(*pred, batch->rows, &batch->selection);
+  }
+  if (ctx_.stats != nullptr) {
+    ctx_.stats->batch_fallback_rows +=
+        static_cast<int64_t>(batch->selection.size());
+  }
+  size_t keep = 0;
+  for (uint32_t idx : batch->selection) {
+    const Row& row = batch->rows[idx];
+    EvalContext ectx{&row, ctx_.functions, nullptr, nullptr, this};
+    RQL_ASSIGN_OR_RETURN(Value cond, EvalExpr(*pred, ectx));
+    if (ValueIsTrue(cond)) batch->selection[keep++] = idx;
   }
   batch->selection.resize(keep);
   return Status::OK();
@@ -836,7 +827,6 @@ Status SelectExecutor::ScanBatched(
   // With one source, predicate pushdown leaves WHERE empty; handled
   // anyway so the batch path never silently drops a residual predicate.
   bool where_vec = where_ != nullptr && EvalBatchSupported(*where_);
-  std::vector<Value> scratch;
   auto it = HeapTable::ScanBatches(
       ctx_.reader, source.table->root, ctx_.scan_cache,
       ctx_.stats != nullptr ? &ctx_.stats->scan_cache : nullptr);
@@ -861,9 +851,8 @@ Status SelectExecutor::ScanBatched(
       ctx_.batch_size_hist->ObserveUs(batch.size);
     }
     RQL_RETURN_IF_ERROR(
-        ApplyBatchFilter(source.filter.get(), filter_vec, &batch, &scratch));
-    RQL_RETURN_IF_ERROR(
-        ApplyBatchFilter(where_.get(), where_vec, &batch, &scratch));
+        ApplyBatchFilter(source.filter.get(), filter_vec, &batch));
+    RQL_RETURN_IF_ERROR(ApplyBatchFilter(where_.get(), where_vec, &batch));
     if (batch.selection.empty()) continue;
     RQL_RETURN_IF_ERROR(consume(batch));
     if (done_) return Status::OK();

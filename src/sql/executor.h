@@ -160,10 +160,9 @@ class SelectExecutor : public SubqueryRunner {
   /// batch path can serve (no join, no index access path).
   bool CanUseBatchScan() const;
   /// Narrows `batch->selection` to the rows where `pred` is true, via
-  /// EvalBatch when `vectorized`, else scalar EvalExpr per row (counted
+  /// FilterBatch when `vectorized`, else scalar EvalExpr per row (counted
   /// as batch_fallback_rows).
-  Status ApplyBatchFilter(const Expr* pred, bool vectorized, RowBatch* batch,
-                          std::vector<Value>* scratch);
+  Status ApplyBatchFilter(const Expr* pred, bool vectorized, RowBatch* batch);
   /// Batched sequential scan of the single source: decodes pages into
   /// RowBatches, applies the pushed-down filter (and any residual WHERE)
   /// to each selection vector, and hands every batch with surviving rows

@@ -96,6 +96,16 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
 
 namespace {
 
+bool IsComparison(BinOp op) {
+  switch (op) {
+    case BinOp::kEq: case BinOp::kNe: case BinOp::kLt: case BinOp::kLe:
+    case BinOp::kGt: case BinOp::kGe: case BinOp::kLike:
+      return true;
+    default:
+      return false;
+  }
+}
+
 Result<Value> EvalComparison(BinOp op, const Value& lhs, const Value& rhs) {
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
   if (op == BinOp::kLike) {
@@ -171,122 +181,320 @@ bool EvalBatchSupported(const Expr& expr) {
   }
 }
 
-Status EvalBatch(const Expr& expr, const Row* rows, const uint32_t* sel,
-                 size_t count, std::vector<Value>* out) {
+namespace {
+
+// Batch evaluation. Every evaluator below runs over the selected rows
+// rows[sel[0..count)] with count > 0; the public entry points return
+// early on empty selections, so a subexpression is never evaluated over
+// zero rows (the scalar path evaluates it on none either).
+
+// Kleene truth of one selected row.
+enum Truth : uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
+
+// Comparisons, AND/OR, NOT and IS [NOT] NULL yield a truth value;
+// everything else the batch path supports yields a datum.
+bool IsPredicate(const Expr& expr) {
+  if (expr.kind == ExprKind::kUnary) return expr.un_op != UnOp::kNeg;
+  return expr.kind == ExprKind::kBinary &&
+         (IsComparison(expr.bin_op) || expr.bin_op == BinOp::kAnd ||
+          expr.bin_op == BinOp::kOr);
+}
+
+// One operand over the selected rows. Leaves are borrowed: a column of
+// the batch's rows, or the literal or bound parameter in the tree. A
+// computed subtree holds one value per selected row.
+struct Operand {
+  int column = -1;
+  const Value* scalar = nullptr;
+  std::vector<Value> values;
+
+  const Value& at(const Row* rows, const uint32_t* sel, size_t i) const {
+    if (column >= 0) return rows[sel[i]][static_cast<size_t>(column)];
+    if (scalar != nullptr) return *scalar;
+    return values[i];
+  }
+};
+
+Status EvalTruth(const Expr& expr, const Row* rows, const uint32_t* sel,
+                 size_t count, std::vector<uint8_t>* out);
+
+Status EvalOperand(const Expr& expr, const Row* rows, const uint32_t* sel,
+                   size_t count, Operand* out) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
-      out->assign(count, expr.literal);
+      out->scalar = &expr.literal;
       return Status::OK();
-
     case ExprKind::kParameter:
       if (!expr.param_bound) {
         return Status::InvalidArgument(
             "unbound parameter ?" + std::to_string(expr.param_index));
       }
-      out->assign(count, expr.literal);
+      out->scalar = &expr.literal;
       return Status::OK();
-
-    case ExprKind::kColumnRef: {
-      out->resize(count);
-      int idx = expr.column_index;
-      for (size_t i = 0; i < count; ++i) {
-        const Row& row = rows[sel[i]];
-        if (idx < 0 || idx >= static_cast<int>(row.size())) {
-          return Status::Internal("unbound column reference: " + expr.name);
-        }
-        (*out)[i] = row[idx];
+    case ExprKind::kColumnRef:
+      // The batch's rows share one width (ScanBatched checks every
+      // row's arity), so one check covers the batch.
+      if (expr.column_index < 0 ||
+          expr.column_index >= static_cast<int>(rows[sel[0]].size())) {
+        return Status::Internal("unbound column reference: " + expr.name);
       }
+      out->column = expr.column_index;
       return Status::OK();
-    }
-
-    case ExprKind::kUnary: {
-      std::vector<Value> in;
-      RQL_RETURN_IF_ERROR(EvalBatch(*expr.args[0], rows, sel, count, &in));
-      out->resize(count);
-      for (size_t i = 0; i < count; ++i) {
-        const Value& v = in[i];
-        if (expr.un_op == UnOp::kIsNull || expr.un_op == UnOp::kIsNotNull) {
-          bool is_null = v.is_null();
-          (*out)[i] = Value::Integer(
-              (expr.un_op == UnOp::kIsNull ? is_null : !is_null) ? 1 : 0);
-        } else if (expr.un_op == UnOp::kNot) {
-          (*out)[i] = v.is_null() ? Value::Null()
-                                  : Value::Integer(ValueIsTrue(v) ? 0 : 1);
-        } else {  // kNeg
-          if (v.is_null()) {
-            (*out)[i] = Value::Null();
-          } else if (v.type() == ValueType::kInteger) {
-            (*out)[i] = Value::Integer(-v.integer());
-          } else if (v.type() == ValueType::kReal) {
-            (*out)[i] = Value::Real(-v.real());
-          } else {
-            return Status::InvalidArgument("cannot negate a text value");
-          }
-        }
-      }
-      return Status::OK();
-    }
-
-    case ExprKind::kBinary: {
-      if (expr.bin_op == BinOp::kAnd || expr.bin_op == BinOp::kOr) {
-        bool is_and = expr.bin_op == BinOp::kAnd;
-        std::vector<Value> lhs;
-        RQL_RETURN_IF_ERROR(
-            EvalBatch(*expr.args[0], rows, sel, count, &lhs));
-        // The right operand runs only over the rows the left side does
-        // not decide — the batch form of the scalar short-circuit.
-        std::vector<uint32_t> sub;
-        std::vector<uint32_t> sub_pos;
-        for (size_t i = 0; i < count; ++i) {
-          const Value& l = lhs[i];
-          if (!l.is_null() && ValueIsTrue(l) != is_and) continue;
-          sub.push_back(sel[i]);
-          sub_pos.push_back(static_cast<uint32_t>(i));
-        }
-        std::vector<Value> rhs;
-        RQL_RETURN_IF_ERROR(
-            EvalBatch(*expr.args[1], rows, sub.data(), sub.size(), &rhs));
-        out->assign(count, Value::Integer(is_and ? 0 : 1));
-        for (size_t j = 0; j < sub.size(); ++j) {
-          const Value& l = lhs[sub_pos[j]];
-          const Value& r = rhs[j];
-          Value* slot = &(*out)[sub_pos[j]];
-          if (!r.is_null() && ValueIsTrue(r) != is_and) {
-            *slot = Value::Integer(is_and ? 0 : 1);
-          } else if (l.is_null() || r.is_null()) {
-            *slot = Value::Null();
-          } else {
-            *slot = Value::Integer(is_and ? 1 : 0);
-          }
-        }
-        return Status::OK();
-      }
-      std::vector<Value> lhs, rhs;
-      RQL_RETURN_IF_ERROR(EvalBatch(*expr.args[0], rows, sel, count, &lhs));
-      RQL_RETURN_IF_ERROR(EvalBatch(*expr.args[1], rows, sel, count, &rhs));
-      bool comparison = false;
-      switch (expr.bin_op) {
-        case BinOp::kEq: case BinOp::kNe: case BinOp::kLt: case BinOp::kLe:
-        case BinOp::kGt: case BinOp::kGe: case BinOp::kLike:
-          comparison = true;
-          break;
-        default:
-          break;
-      }
-      out->resize(count);
-      for (size_t i = 0; i < count; ++i) {
-        Result<Value> v =
-            comparison ? EvalComparison(expr.bin_op, lhs[i], rhs[i])
-                       : EvalArithmetic(expr.bin_op, lhs[i], rhs[i]);
-        if (!v.ok()) return v.status();
-        (*out)[i] = std::move(*v);
-      }
-      return Status::OK();
-    }
-
     default:
-      return Status::Internal("expression not supported by EvalBatch");
+      break;
   }
+  out->values.resize(count);
+  if (IsPredicate(expr)) {
+    std::vector<uint8_t> truth;
+    RQL_RETURN_IF_ERROR(EvalTruth(expr, rows, sel, count, &truth));
+    for (size_t i = 0; i < count; ++i) {
+      out->values[i] = truth[i] == kUnknown
+                           ? Value::Null()
+                           : Value::Integer(truth[i] == kTrue ? 1 : 0);
+    }
+    return Status::OK();
+  }
+  if (expr.kind == ExprKind::kUnary) {  // kNeg
+    Operand in;
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[0], rows, sel, count, &in));
+    for (size_t i = 0; i < count; ++i) {
+      const Value& v = in.at(rows, sel, i);
+      if (v.type() == ValueType::kInteger) {
+        out->values[i] = Value::Integer(-v.integer());
+      } else if (v.type() == ValueType::kReal) {
+        out->values[i] = Value::Real(-v.real());
+      } else if (!v.is_null()) {
+        return Status::InvalidArgument("cannot negate a text value");
+      }
+    }
+    return Status::OK();
+  }
+  if (expr.kind == ExprKind::kBinary) {  // arithmetic
+    Operand lhs, rhs;
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[0], rows, sel, count, &lhs));
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[1], rows, sel, count, &rhs));
+    for (size_t i = 0; i < count; ++i) {
+      RQL_ASSIGN_OR_RETURN(out->values[i],
+                           EvalArithmetic(expr.bin_op, lhs.at(rows, sel, i),
+                                          rhs.at(rows, sel, i)));
+    }
+    return Status::OK();
+  }
+  return Status::Internal("expression not supported by EvalBatch");
+}
+
+// A comparison as a set of three-way results: bit (c + 1) is set when
+// CompareValues' result c satisfies `op`.
+unsigned ComparisonBits(BinOp op) {
+  switch (op) {
+    case BinOp::kEq: return 0b010;
+    case BinOp::kNe: return 0b101;
+    case BinOp::kLt: return 0b001;
+    case BinOp::kLe: return 0b011;
+    case BinOp::kGt: return 0b100;
+    default: return 0b110;  // kGe
+  }
+}
+
+// The same comparison with its operands swapped: c(a, b) == -c(b, a).
+unsigned MirrorBits(unsigned bits) {
+  return (bits & 0b010) | ((bits & 0b001) << 2) | ((bits & 0b100) >> 2);
+}
+
+Truth Holds(unsigned bits, int c) {
+  return ((bits >> (c + 1)) & 1u) != 0 ? kTrue : kFalse;
+}
+
+// `rows[sel[i]][col] op text` for every selected row, with `bits`
+// oriented so the column is on the left. It keeps CompareValues' order
+// NULL < numeric < text: a numeric value is below any text constant.
+template <typename Emit>
+void CompareColumnToText(unsigned bits, size_t col, const std::string& text,
+                         const Row* rows, const uint32_t* sel, size_t count,
+                         Emit emit) {
+  // Only the sign of c matters, so = and <> need equality alone.
+  bool equality = bits == 0b010 || bits == 0b101;
+  for (size_t i = 0; i < count; ++i) {
+    const Value& v = rows[sel[i]][col];
+    if (v.type() == ValueType::kText) {
+      int c = equality ? (v.text() == text ? 0 : 1) : v.text().compare(text);
+      emit(i, Holds(bits, c < 0 ? -1 : (c > 0 ? 1 : 0)));
+    } else {
+      emit(i, v.is_null() ? kUnknown : Holds(bits, -1));
+    }
+  }
+}
+
+// Calls emit(i, truth) for each selected row i in order, after reading
+// that row's operands — so `emit` may narrow `sel` in place.
+template <typename Emit>
+void CompareOperands(BinOp op, const Operand& lhs, const Operand& rhs,
+                     const Row* rows, const uint32_t* sel, size_t count,
+                     Emit emit) {
+  if (op == BinOp::kLike) {
+    for (size_t i = 0; i < count; ++i) {
+      const Value& l = lhs.at(rows, sel, i);
+      const Value& r = rhs.at(rows, sel, i);
+      if (l.is_null() || r.is_null()) {
+        emit(i, kUnknown);
+      } else if (l.type() == ValueType::kText &&
+                 r.type() == ValueType::kText) {
+        emit(i, LikeMatch(l.text(), r.text()) ? kTrue : kFalse);
+      } else {
+        emit(i, LikeMatch(l.ToString(), r.ToString()) ? kTrue : kFalse);
+      }
+    }
+    return;
+  }
+  unsigned bits = ComparisonBits(op);
+  // A column against a text constant, in either orientation, takes the
+  // typed loop; every other shape compares through CompareValues.
+  auto is_text = [](const Value* v) {
+    return v != nullptr && v->type() == ValueType::kText;
+  };
+  if (lhs.column >= 0 && is_text(rhs.scalar)) {
+    CompareColumnToText(bits, static_cast<size_t>(lhs.column),
+                        rhs.scalar->text(), rows, sel, count, emit);
+    return;
+  }
+  if (rhs.column >= 0 && is_text(lhs.scalar)) {
+    CompareColumnToText(MirrorBits(bits), static_cast<size_t>(rhs.column),
+                        lhs.scalar->text(), rows, sel, count, emit);
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const Value& l = lhs.at(rows, sel, i);
+    const Value& r = rhs.at(rows, sel, i);
+    emit(i, l.is_null() || r.is_null() ? kUnknown
+                                        : Holds(bits, CompareValues(l, r)));
+  }
+}
+
+Status EvalTruth(const Expr& expr, const Row* rows, const uint32_t* sel,
+                 size_t count, std::vector<uint8_t>* out) {
+  if (expr.kind == ExprKind::kBinary && IsComparison(expr.bin_op)) {
+    Operand lhs, rhs;
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[0], rows, sel, count, &lhs));
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[1], rows, sel, count, &rhs));
+    out->resize(count);
+    uint8_t* truth = out->data();
+    CompareOperands(expr.bin_op, lhs, rhs, rows, sel, count,
+                    [truth](size_t i, Truth t) { truth[i] = t; });
+    return Status::OK();
+  }
+  if (expr.kind == ExprKind::kBinary &&
+      (expr.bin_op == BinOp::kAnd || expr.bin_op == BinOp::kOr)) {
+    RQL_RETURN_IF_ERROR(EvalTruth(*expr.args[0], rows, sel, count, out));
+    // The right operand runs only over the rows the left side leaves
+    // undecided — TRUE or NULL for AND, FALSE or NULL for OR — the batch
+    // form of the scalar short-circuit.
+    Truth decided = expr.bin_op == BinOp::kAnd ? kFalse : kTrue;
+    std::vector<uint32_t> sub;
+    std::vector<uint32_t> sub_pos;
+    for (size_t i = 0; i < count; ++i) {
+      if ((*out)[i] == decided) continue;
+      sub.push_back(sel[i]);
+      sub_pos.push_back(static_cast<uint32_t>(i));
+    }
+    if (sub.empty()) return Status::OK();
+    std::vector<uint8_t> rhs;
+    RQL_RETURN_IF_ERROR(
+        EvalTruth(*expr.args[1], rows, sub.data(), sub.size(), &rhs));
+    for (size_t j = 0; j < sub.size(); ++j) {
+      uint8_t& slot = (*out)[sub_pos[j]];
+      if (rhs[j] == decided) {
+        slot = decided;
+      } else if (rhs[j] == kUnknown) {
+        slot = kUnknown;
+      }  // else both sides are the non-deciding value: slot already is
+    }
+    return Status::OK();
+  }
+  if (expr.kind == ExprKind::kUnary && expr.un_op == UnOp::kNot) {
+    RQL_RETURN_IF_ERROR(EvalTruth(*expr.args[0], rows, sel, count, out));
+    for (uint8_t& t : *out) {
+      if (t != kUnknown) t = t == kTrue ? kFalse : kTrue;
+    }
+    return Status::OK();
+  }
+  if (expr.kind == ExprKind::kUnary && expr.un_op != UnOp::kNeg) {
+    // IS [NOT] NULL: never unknown.
+    bool want_null = expr.un_op == UnOp::kIsNull;
+    const Expr& arg = *expr.args[0];
+    if (IsPredicate(arg)) {
+      RQL_RETURN_IF_ERROR(EvalTruth(arg, rows, sel, count, out));
+      for (uint8_t& t : *out) {
+        t = (t == kUnknown) == want_null ? kTrue : kFalse;
+      }
+      return Status::OK();
+    }
+    Operand v;
+    RQL_RETURN_IF_ERROR(EvalOperand(arg, rows, sel, count, &v));
+    out->resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      (*out)[i] =
+          v.at(rows, sel, i).is_null() == want_null ? kTrue : kFalse;
+    }
+    return Status::OK();
+  }
+  // A datum used as a predicate: ValueIsTrue, with NULL unknown.
+  Operand v;
+  RQL_RETURN_IF_ERROR(EvalOperand(expr, rows, sel, count, &v));
+  out->resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    const Value& x = v.at(rows, sel, i);
+    (*out)[i] = x.is_null() ? kUnknown : (ValueIsTrue(x) ? kTrue : kFalse);
+  }
+  return Status::OK();
+}
+
+// FilterBatch over a non-empty selection.
+Status FilterSelected(const Expr& pred, const Row* rows,
+                      std::vector<uint32_t>* sel) {
+  uint32_t* s = sel->data();
+  size_t count = sel->size();
+  size_t keep = 0;
+  if (pred.kind == ExprKind::kBinary && IsComparison(pred.bin_op)) {
+    Operand lhs, rhs;
+    RQL_RETURN_IF_ERROR(EvalOperand(*pred.args[0], rows, s, count, &lhs));
+    RQL_RETURN_IF_ERROR(EvalOperand(*pred.args[1], rows, s, count, &rhs));
+    CompareOperands(pred.bin_op, lhs, rhs, rows, s, count,
+                    [s, &keep](size_t i, Truth t) {
+                      if (t == kTrue) s[keep++] = s[i];
+                    });
+    sel->resize(keep);
+    return Status::OK();
+  }
+  std::vector<uint8_t> truth;
+  RQL_RETURN_IF_ERROR(EvalTruth(pred, rows, s, count, &truth));
+  for (size_t i = 0; i < count; ++i) {
+    if (truth[i] == kTrue) s[keep++] = s[i];
+  }
+  sel->resize(keep);
+  return Status::OK();
+}
+
+}  // namespace
+
+Status FilterBatch(const Expr& pred, const Row* rows,
+                   std::vector<uint32_t>* sel) {
+  if (sel->empty()) return Status::OK();
+  return FilterSelected(pred, rows, sel);
+}
+
+Status EvalBatch(const Expr& expr, const Row* rows, const uint32_t* sel,
+                 size_t count, std::vector<Value>* out) {
+  out->clear();
+  if (count == 0) return Status::OK();
+  Operand v;
+  RQL_RETURN_IF_ERROR(EvalOperand(expr, rows, sel, count, &v));
+  if (v.column < 0 && v.scalar == nullptr) {
+    out->swap(v.values);
+    return Status::OK();
+  }
+  out->reserve(count);
+  for (size_t i = 0; i < count; ++i) out->push_back(v.at(rows, sel, i));
+  return Status::OK();
 }
 
 Result<Value> EvalExpr(const Expr& expr, const EvalContext& ctx) {
@@ -352,13 +560,9 @@ Result<Value> EvalExpr(const Expr& expr, const EvalContext& ctx) {
       }
       RQL_ASSIGN_OR_RETURN(Value lhs, EvalExpr(*expr.args[0], ctx));
       RQL_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*expr.args[1], ctx));
-      switch (expr.bin_op) {
-        case BinOp::kEq: case BinOp::kNe: case BinOp::kLt: case BinOp::kLe:
-        case BinOp::kGt: case BinOp::kGe: case BinOp::kLike:
-          return EvalComparison(expr.bin_op, lhs, rhs);
-        default:
-          return EvalArithmetic(expr.bin_op, lhs, rhs);
-      }
+      return IsComparison(expr.bin_op)
+                 ? EvalComparison(expr.bin_op, lhs, rhs)
+                 : EvalArithmetic(expr.bin_op, lhs, rhs);
     }
 
     case ExprKind::kIn: {

@@ -73,15 +73,27 @@ Result<Value> EvalExpr(const Expr& expr, const EvalContext& ctx);
 /// once per scan, not per batch.
 bool EvalBatchSupported(const Expr& expr);
 
+/// Vectorized predicate evaluation: narrows `sel` (indices into `rows`,
+/// all rows of one width) in place to the rows where `pred` is TRUE,
+/// keeping their order. Requires EvalBatchSupported(pred).
+///
+/// Operands are read by reference — a column of `rows`, or the literal
+/// or bound parameter in the tree — and only computed (arithmetic)
+/// values are materialized. It selects exactly the rows scalar EvalExpr
+/// + ValueIsTrue per row would, and fails if and only if that row path
+/// fails: every subexpression that can fail runs on exactly the rows the
+/// scalar path evaluates it on (AND/OR evaluate their right operand only
+/// for the rows the left operand leaves undecided, TRUE *or NULL* for
+/// AND). A tree that can raise two kinds of error may report the other
+/// one, as operands are evaluated across the batch one at a time. Any
+/// error aborts the whole batch. INTERNALS.md §12 has the contract.
+Status FilterBatch(const Expr& pred, const Row* rows,
+                   std::vector<uint32_t>* sel);
+
 /// Vectorized expression evaluation: computes `expr` for each row index
 /// in sel[0..count) of `rows`, writing one value per selected row into
-/// `out` (resized to count). Requires EvalBatchSupported(expr).
-///
-/// Semantics match scalar EvalExpr exactly, including error behavior:
-/// AND/OR evaluate their right operand only for the rows the left
-/// operand does not already decide (Kleene short-circuit), so a row the
-/// scalar path would never evaluate the right operand for cannot raise
-/// a right-operand error here either. Any error aborts the whole batch.
+/// `out` (resized to count). Requires EvalBatchSupported(expr). Same
+/// semantics and error behavior as FilterBatch.
 Status EvalBatch(const Expr& expr, const Row* rows, const uint32_t* sel,
                  size_t count, std::vector<Value>* out);
 

@@ -453,6 +453,34 @@ TEST(ServerSnapIdsTest, LaterDeclarationsReachAnExistingSession) {
   (*server)->Stop();
 }
 
+TEST(ServerSnapIdsTest, DeclarationsBeforeStartReachNewSessions) {
+  // In-process seeding (rql_serverd --seed-demo) declares snapshots
+  // after Create has loaded the canonical log and before Start.
+  HistoryFixture f = MakeHistory(2);
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(f.data->Exec("UPDATE t SET v = v + 1 WHERE k = " +
+                             std::to_string(i))
+                    .ok());
+    auto snap = (*server)->DeclareSnapshot("seed-" + std::to_string(i));
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ(*snap, f.last_snap + 1 + static_cast<retro::SnapshotId>(i));
+  }
+  ASSERT_TRUE((*server)->Start().ok());
+  auto client = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ(MirrorCount(client->get()), 5);
+  ExpectMirrorMatchesOwner(client->get(), f.meta.get());
+  EXPECT_EQ(RunOverAllSnapIds(client->get()), 5);
+
+  client->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
 TEST(ServerSnapIdsTest, TruncateReachesExistingAndNewSessions) {
   HistoryFixture f = MakeHistory(12);
   ServerOptions options;

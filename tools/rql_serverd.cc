@@ -60,13 +60,11 @@ rql::Status SeedDemo(rql::server::Server* server) {
     RQL_RETURN_IF_ERROR(data->Exec("INSERT INTO kv VALUES (" +
                                    std::to_string(k) + ", 0)"));
   }
-  rql::RqlEngine engine(data, server->meta());
-  RQL_RETURN_IF_ERROR(engine.EnsureSnapIds());
   for (int s = 0; s < 8; ++s) {
     RQL_RETURN_IF_ERROR(data->Exec("UPDATE kv SET v = v + 1 WHERE k % 7 = " +
                                    std::to_string(s % 7)));
     RQL_RETURN_IF_ERROR(
-        engine.CommitWithSnapshot("", "demo-" + std::to_string(s)).status());
+        server->DeclareSnapshot("demo-" + std::to_string(s)).status());
   }
   return rql::Status::OK();
 }
