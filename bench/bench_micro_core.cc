@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the core data structures: row
-// codec, heap table, B+-tree, buffer pool, Maplog SPT construction, and
-// batch predicate evaluation. These are the unit costs the figure-level
-// benchmarks compose.
+// codec, heap table, page decode, B+-tree, buffer pool, Maplog SPT
+// construction, and batch predicate evaluation. These are the unit costs
+// the figure-level benchmarks compose.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,7 @@
 #include "sql/btree.h"
 #include "sql/expr.h"
 #include "sql/heap_table.h"
+#include "sql/shared_scan_cache.h"
 #include "sql/value.h"
 #include "storage/buffer_pool.h"
 
@@ -79,6 +80,45 @@ void BM_HeapScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HeapScan)->Arg(1000)->Arg(10000);
+
+// Fetch + slot-walk + decode of whole heap pages of TPC-H orders-shaped
+// rows (key, custkey, status, price, date), as a batch scan does on a
+// decoded-page cache miss. per_page is the time per page;
+// bytes_per_entry is the mean SharedScanCache::EstimateBytes charge the
+// decoded page would take in the cache.
+void BM_DecodePage(benchmark::State& state) {
+  static const char* const kStatus[] = {"O", "F", "P"};
+  storage::InMemoryEnv env;
+  auto store = retro::SnapshotStore::Open(&env, "bench");
+  auto root = sql::HeapTable::Create(store->get());
+  sql::HeapTable table(store->get(), *root);
+  for (int i = 0; i < 2000; ++i) {
+    (void)table.Insert(sql::EncodeRow(
+        {Value::Integer(i), Value::Integer(i * 7 % 1500),
+         Value::Text(kStatus[i % 3]), Value::Real(1000 + i * 1.25),
+         Value::Text("1995-03-15")}));
+  }
+  int64_t pages = 0;
+  uint64_t bytes = 0;
+  for (auto it = sql::HeapTable::ScanBatches(store->get(), *root);
+       it.Valid(); it.Next()) {
+    ++pages;
+    bytes += sql::SharedScanCache::EstimateBytes(*it.batch().page);
+  }
+  for (auto _ : state) {
+    for (auto it = sql::HeapTable::ScanBatches(store->get(), *root);
+         it.Valid(); it.Next()) {
+      benchmark::DoNotOptimize(it.batch().page.get());
+    }
+  }
+  state.counters["per_page"] = benchmark::Counter(
+      static_cast<double>(pages),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(bytes) / static_cast<double>(pages);
+}
+BENCHMARK(BM_DecodePage);
 
 void BM_BtreeInsert(benchmark::State& state) {
   storage::InMemoryEnv env;
@@ -183,13 +223,14 @@ sql::ExprPtr Cmp(sql::BinOp op, int column, Value constant) {
 // Narrows a fresh identity selection over the batch per iteration;
 // per_row is the time per input row.
 void RunFilter(benchmark::State& state, const sql::Expr& pred) {
-  std::vector<Row> rows = FilterBatchRows();
+  const std::shared_ptr<const sql::DecodedPage> page =
+      sql::DecodeRows(FilterBatchRows());
   std::vector<uint32_t> identity(kBatchRows);
   for (uint32_t i = 0; i < kBatchRows; ++i) identity[i] = i;
   std::vector<uint32_t> sel;
   for (auto _ : state) {
     sel = identity;
-    Status st = sql::FilterBatch(pred, rows.data(), &sel);
+    Status st = sql::FilterBatch(pred, *page, &sel);
     benchmark::DoNotOptimize(st);
     benchmark::DoNotOptimize(sel.data());
   }

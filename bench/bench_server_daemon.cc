@@ -115,7 +115,6 @@ int Run() {
   options.socket_path =
       "/tmp/rql_bench_server_" + std::to_string(::getpid()) + ".sock";
   options.scheduler.dispatch_threads = kClients;
-  options.engine.cold_cache_per_run = false;
   auto srv = server::Server::Create(history->data(), history->meta(),
                                     std::move(options));
   if (!srv.ok()) Fail(srv.status(), "create server");

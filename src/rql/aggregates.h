@@ -62,46 +62,19 @@ Result<sql::Value> RqlCombineBatch(RqlAggFunc func, sql::Value acc,
 /// link-time dependency on the rql core library.
 namespace batch {
 
-/// Input span for a fold: either rows selected out of a batch, read in
-/// place (dense == nullptr; value i is rows[sel[i]][col], zero-copy), or
-/// a pre-evaluated dense value vector (expression arguments; value i is
-/// dense[i]).
-struct FoldInput {
-  const sql::Row* rows = nullptr;
-  const uint32_t* sel = nullptr;
-  int col = 0;
-  const sql::Value* dense = nullptr;
-  size_t n = 0;
-
-  static FoldInput Column(const sql::Row* rows, const uint32_t* sel,
-                          size_t n, int col) {
-    FoldInput in;
-    in.rows = rows;
-    in.sel = sel;
-    in.n = n;
-    in.col = col;
-    return in;
-  }
-  static FoldInput Dense(const sql::Value* vals, size_t n) {
-    FoldInput in;
-    in.dense = vals;
-    in.n = n;
-    return in;
-  }
-  const sql::Value& at(size_t i) const {
-    return dense != nullptr ? dense[i]
-                            : rows[sel[i]][static_cast<size_t>(col)];
-  }
-};
+/// Each kernel folds `in.at(i)` for i in [0, in.size()): any input whose
+/// at() yields a sql::ValueRef (or a Value) — in the executor, a
+/// sql::BatchValues, which reads a page column in place or a vector of
+/// computed argument values.
 
 /// SUM / AVG / TOTAL transition: per non-null value, bump the count, add
 /// into the integer sum while all inputs are integers, and always into
 /// the long-double running sum the real result is taken from.
-inline Status FoldSum(const FoldInput& in, int64_t* count, bool* has_value,
-                      long double* real_sum, int64_t* int_sum,
-                      bool* int_only) {
-  for (size_t i = 0; i < in.n; ++i) {
-    const sql::Value& v = in.at(i);
+template <typename Input>
+Status FoldSum(const Input& in, int64_t* count, bool* has_value,
+               long double* real_sum, int64_t* int_sum, bool* int_only) {
+  for (size_t i = 0; i < in.size(); ++i) {
+    const sql::ValueRef v = in.at(i);
     if (v.is_null()) continue;
     if (!v.is_numeric()) {
       return Status::InvalidArgument("SUM/AVG of non-numeric value");
@@ -119,26 +92,28 @@ inline Status FoldSum(const FoldInput& in, int64_t* count, bool* has_value,
 }
 
 /// COUNT(expr) transition: count the non-null values.
-inline void FoldCount(const FoldInput& in, int64_t* count) {
-  for (size_t i = 0; i < in.n; ++i) {
+template <typename Input>
+void FoldCount(const Input& in, int64_t* count) {
+  for (size_t i = 0; i < in.size(); ++i) {
     if (!in.at(i).is_null()) ++*count;
   }
 }
 
 /// MIN/MAX transition: first non-null value seeds the extreme; later
 /// values replace it only on strict improvement (first-wins on ties,
-/// like the scalar update).
-inline void FoldExtreme(bool is_min, const FoldInput& in, int64_t* count,
-                        bool* has_value, sql::Value* extreme) {
-  for (size_t i = 0; i < in.n; ++i) {
-    const sql::Value& v = in.at(i);
+/// like the scalar update). Only a replacing value is copied.
+template <typename Input>
+void FoldExtreme(bool is_min, const Input& in, int64_t* count,
+                 bool* has_value, sql::Value* extreme) {
+  for (size_t i = 0; i < in.size(); ++i) {
+    const sql::ValueRef v = in.at(i);
     if (v.is_null()) continue;
     ++*count;
     if (!*has_value) {
-      *extreme = v;
+      extreme->Assign(v);
     } else {
       int c = sql::CompareValues(v, *extreme);
-      if (is_min ? c < 0 : c > 0) *extreme = v;
+      if (is_min ? c < 0 : c > 0) extreme->Assign(v);
     }
     *has_value = true;
   }

@@ -113,6 +113,11 @@ Result<std::unique_ptr<Server>> Server::Finish(ServerOptions options,
   // store — the bench_concurrent_runs "shared" configuration, always on
   // for the daemon.
   s->options_.engine.shared_scan_cache = &s->scan_cache_;
+  // The snapshot page cache is store-wide too, and stays warm across
+  // runs: a run clearing it (the paper's per-query cold start) would
+  // drop every other session's working set. Archived frames live until
+  // snapshot_cache_pages evicts them or TruncateHistory clears the cache.
+  s->options_.engine.cold_cache_per_run = false;
   s->options_.engine.metrics = s->metrics_;
   s->data_->store()->set_share_spt_builds(true);
   // Between runs too: a commit that archives a page shared with the
@@ -860,6 +865,15 @@ std::string Server::StatsJson() {
       << ", \"entries\": " << cache.entries
       << ", \"bytes\": " << cache.bytes
       << ", \"retired\": " << cache.retired << "},\n";
+  storage::BufferPool* snapshot_cache = data_->store()->snapshot_cache();
+  const storage::BufferPoolStats pool = snapshot_cache->stats();
+  out << "  \"snapshot_cache\": {"
+      << "\"pages\": " << snapshot_cache->size()
+      << ", \"capacity_pages\": " << snapshot_cache->capacity()
+      << ", \"hits\": " << pool.hits
+      << ", \"misses\": " << pool.misses
+      << ", \"evictions\": " << pool.evictions
+      << ", \"shards\": " << snapshot_cache->shard_count() << "},\n";
   out << "  \"store\": {"
       << "\"earliest_snapshot\": "
       << static_cast<int64_t>(data_->store()->earliest_snapshot())

@@ -70,9 +70,14 @@ struct ServerOptions {
   /// Base RqlOptions for session engines. The server injects
   /// shared_scan_cache, metrics, session_id and the per-run cancel/run_id
   /// wiring itself, enables cross-run SPT-build sharing on the store it
-  /// owns and attaches the shared cache to it as a capture listener;
-  /// everything else (incremental_spt, cold_cache_per_run, ...) is taken
-  /// as configured here.
+  /// owns and attaches the shared cache to it as a capture listener. It
+  /// also forces cold_cache_per_run off on every session engine and the
+  /// owner engine: the snapshot page cache is store-wide, so one run's
+  /// cold start would wipe every other session's working set. Archived
+  /// frames stay cached across runs until the store's
+  /// snapshot_cache_pages evicts them or TruncateHistory clears the
+  /// cache. Everything else (incremental_spt, ...) is taken as configured
+  /// here.
   RqlOptions engine;
   /// Receives the server gauges (server.active_sessions,
   /// server.queued_runs, server.active_runs, server.admission_rejects,
@@ -118,7 +123,7 @@ class Server {
   Result<retro::SnapshotId> DeclareSnapshot(const std::string& label);
 
   /// The kStats document (also returned over the wire): server, scheduler,
-  /// shared scan cache, store and snapids sections.
+  /// shared scan cache, snapshot page cache, store and snapids sections.
   std::string StatsJson();
 
   RunScheduler* scheduler() { return scheduler_.get(); }

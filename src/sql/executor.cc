@@ -114,11 +114,11 @@ Result<AggKind> AggKindOf(const std::string& name) {
 // vectors). The batch fold kernels in rql/aggregates.h replicate the
 // non-distinct arm of this transition field for field; changes here must
 // be mirrored there to keep row and batch results byte-identical.
-Status UpdateAccumValue(AggKind kind, bool distinct, const Value& arg,
+Status UpdateAccumValue(AggKind kind, bool distinct, ValueRef arg,
                         AggAccum* accum) {
   if (arg.is_null()) return Status::OK();  // NULLs are ignored
   if (distinct) {
-    std::string key = EncodeRow({arg});
+    std::string key = EncodeRow({arg.ToValue()});
     if (!accum->distinct.insert(std::move(key)).second) return Status::OK();
   }
   ++accum->count;
@@ -141,13 +141,13 @@ Status UpdateAccumValue(AggKind kind, bool distinct, const Value& arg,
       break;
     case AggKind::kMin:
       if (!accum->has_value || CompareValues(arg, accum->extreme) < 0) {
-        accum->extreme = arg;
+        accum->extreme.Assign(arg);
       }
       accum->has_value = true;
       break;
     case AggKind::kMax:
       if (!accum->has_value || CompareValues(arg, accum->extreme) > 0) {
-        accum->extreme = arg;
+        accum->extreme.Assign(arg);
       }
       accum->has_value = true;
       break;
@@ -584,13 +584,11 @@ Status SelectExecutor::BuildTransientIndex(TableSource* source) {
              ctx_.reader, source->table->root, ctx_.scan_cache,
              ctx_.stats != nullptr ? &ctx_.stats->scan_cache : nullptr);
          it.Valid(); it.Next()) {
-      const Row* cached = it.cached_row();
       Row row;
-      if (cached == nullptr) {
+      if (!it.cached_row(&row)) {
         RQL_ASSIGN_OR_RETURN(row, DecodeRow(it.record()));
       }
-      const Value& key =
-          (cached != nullptr ? *cached : row)[source->inner_key_column];
+      const Value& key = row[source->inner_key_column];
       if (key.is_null()) continue;  // NULL never matches equality
       RQL_ASSIGN_OR_RETURN(Rid rid, heap.Insert(it.record()));
       RQL_RETURN_IF_ERROR(tree.Insert({key, Value::Integer(seq++)}, rid));
@@ -767,16 +765,14 @@ Status SelectExecutor::JoinLevel(size_t level, Row* current,
   }
 
   // Sequential scan. Pages the reader versions (archived snapshot pages)
-  // come pre-decoded from the scan cache; copying the cached row replaces
-  // the per-row DecodeRow parse.
+  // come pre-decoded from the scan cache; materializing the cached cells
+  // replaces the per-row DecodeRow parse.
   auto it = HeapTable::Scan(
       ctx_.reader, source.table->root, ctx_.scan_cache,
       ctx_.stats != nullptr ? &ctx_.stats->scan_cache : nullptr);
   for (; it.Valid(); it.Next()) {
     Row row;
-    if (const Row* cached = it.cached_row()) {
-      row = *cached;
-    } else {
+    if (!it.cached_row(&row)) {
       RQL_ASSIGN_OR_RETURN(row, DecodeRow(it.record()));
     }
     RQL_RETURN_IF_ERROR(emit_candidate(std::move(row)));
@@ -801,15 +797,16 @@ Status SelectExecutor::ApplyBatchFilter(const Expr* pred, bool vectorized,
                                         RowBatch* batch) {
   if (pred == nullptr || batch->selection.empty()) return Status::OK();
   if (vectorized) {
-    return FilterBatch(*pred, batch->rows, &batch->selection);
+    return FilterBatch(*pred, *batch->page, &batch->selection);
   }
   if (ctx_.stats != nullptr) {
     ctx_.stats->batch_fallback_rows +=
         static_cast<int64_t>(batch->selection.size());
   }
   size_t keep = 0;
+  Row row;
   for (uint32_t idx : batch->selection) {
-    const Row& row = batch->rows[idx];
+    batch->page->MaterializeRow(idx, &row);
     EvalContext ectx{&row, ctx_.functions, nullptr, nullptr, this};
     RQL_ASSIGN_OR_RETURN(Value cond, EvalExpr(*pred, ectx));
     if (ValueIsTrue(cond)) batch->selection[keep++] = idx;
@@ -832,23 +829,24 @@ Status SelectExecutor::ScanBatched(
       ctx_.stats != nullptr ? &ctx_.stats->scan_cache : nullptr);
   for (; it.Valid(); it.Next()) {
     RowBatch& batch = it.batch();
-    for (uint32_t i = 0; i < batch.size; ++i) {
-      if (batch.rows[i].size() != width) {
+    const uint32_t size = batch.size();
+    for (uint32_t i = 0; i < size; ++i) {
+      if (batch.page->width(i) != width) {
         return Status::Corruption("row arity mismatch in table " +
                                   source.table->name);
       }
     }
-    batch.selection.resize(batch.size);
-    for (uint32_t i = 0; i < batch.size; ++i) batch.selection[i] = i;
+    batch.selection.resize(size);
+    for (uint32_t i = 0; i < size; ++i) batch.selection[i] = i;
     if (ctx_.stats != nullptr) {
       ++ctx_.stats->batches_scanned;
-      ctx_.stats->batch_rows += batch.size;
+      ctx_.stats->batch_rows += size;
       // The row path counts scanned rows one emit_candidate at a time;
       // page granularity only diverges when LIMIT stops a scan mid-page.
-      ctx_.stats->rows_scanned += batch.size;
+      ctx_.stats->rows_scanned += size;
     }
     if (ctx_.batch_size_hist != nullptr) {
-      ctx_.batch_size_hist->ObserveUs(batch.size);
+      ctx_.batch_size_hist->ObserveUs(size);
     }
     RQL_RETURN_IF_ERROR(
         ApplyBatchFilter(source.filter.get(), filter_vec, &batch));
@@ -944,9 +942,10 @@ Status SelectExecutor::Finish(const RowSink& sink) {
 
 Status SelectExecutor::RunPlain(const RowSink& sink) {
   if (batch_scan_) {
+    Row input;  // the selected row, materialized for projection
     RQL_RETURN_IF_ERROR(ScanBatched([&](RowBatch& batch) -> Status {
       for (uint32_t idx : batch.selection) {
-        const Row& input = batch.rows[idx];
+        batch.page->MaterializeRow(idx, &input);
         EvalContext ectx{&input, ctx_.functions, nullptr, nullptr, this};
         Row sort_key;
         RQL_ASSIGN_OR_RETURN(Row out, ProjectRow(ectx, &sort_key));
@@ -974,62 +973,87 @@ Status SelectExecutor::RunAggregation(const RowSink& sink) {
   // Groups are keyed by the evaluated key row itself, hashed directly —
   // the same identity the former EncodeRow string keys had (type tag plus
   // exact bit content, so 1 and 1.0 group apart and doubles compare
-  // bitwise) without building a key string per input row.
+  // bitwise) without building a key string per input row. The batch path
+  // probes with borrowed keys (KeyRefs) and builds an owning key Row only
+  // when it inserts a new group.
+  struct KeyRefs {
+    const ValueRef* refs;
+    size_t n;
+  };
   struct GroupKeyHash {
+    using is_transparent = void;
+    static void Mix(uint64_t* h, uint64_t v) {
+      *h ^= v;
+      *h *= 0x100000001b3ull;
+    }
+    static void MixValue(uint64_t* h, ValueRef v) {
+      Mix(h, static_cast<uint64_t>(v.type()));
+      switch (v.type()) {
+        case ValueType::kNull:
+          break;
+        case ValueType::kInteger:
+          Mix(h, static_cast<uint64_t>(v.integer()));
+          break;
+        case ValueType::kReal: {
+          uint64_t bits;
+          double d = v.real();
+          std::memcpy(&bits, &d, sizeof(bits));
+          Mix(h, bits);
+          break;
+        }
+        case ValueType::kText:
+          Mix(h, std::hash<std::string_view>{}(v.text()));
+          break;
+      }
+    }
     size_t operator()(const Row& row) const {
       uint64_t h = 0xcbf29ce484222325ull;
-      auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ull;
-      };
-      for (const Value& v : row) {
-        mix(static_cast<uint64_t>(v.type()));
-        switch (v.type()) {
-          case ValueType::kNull:
-            break;
-          case ValueType::kInteger:
-            mix(static_cast<uint64_t>(v.integer()));
-            break;
-          case ValueType::kReal: {
-            uint64_t bits;
-            double d = v.real();
-            std::memcpy(&bits, &d, sizeof(bits));
-            mix(bits);
-            break;
-          }
-          case ValueType::kText:
-            mix(std::hash<std::string>{}(v.text()));
-            break;
-        }
-      }
+      for (const Value& v : row) MixValue(&h, v);
+      return static_cast<size_t>(h);
+    }
+    size_t operator()(const KeyRefs& key) const {
+      uint64_t h = 0xcbf29ce484222325ull;
+      for (size_t i = 0; i < key.n; ++i) MixValue(&h, key.refs[i]);
       return static_cast<size_t>(h);
     }
   };
   struct GroupKeyEq {
+    using is_transparent = void;
+    static bool Same(ValueRef a, ValueRef b) {
+      if (a.type() != b.type()) return false;
+      switch (a.type()) {
+        case ValueType::kNull:
+          return true;
+        case ValueType::kInteger:
+          return a.integer() == b.integer();
+        case ValueType::kReal: {
+          uint64_t abits, bbits;
+          double ad = a.real(), bd = b.real();
+          std::memcpy(&abits, &ad, sizeof(abits));
+          std::memcpy(&bbits, &bd, sizeof(bbits));
+          return abits == bbits;
+        }
+        case ValueType::kText:
+          return a.text() == b.text();
+      }
+      return true;
+    }
     bool operator()(const Row& a, const Row& b) const {
       if (a.size() != b.size()) return false;
       for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].type() != b[i].type()) return false;
-        switch (a[i].type()) {
-          case ValueType::kNull:
-            break;
-          case ValueType::kInteger:
-            if (a[i].integer() != b[i].integer()) return false;
-            break;
-          case ValueType::kReal: {
-            uint64_t abits, bbits;
-            double ad = a[i].real(), bd = b[i].real();
-            std::memcpy(&abits, &ad, sizeof(abits));
-            std::memcpy(&bbits, &bd, sizeof(bbits));
-            if (abits != bbits) return false;
-            break;
-          }
-          case ValueType::kText:
-            if (a[i].text() != b[i].text()) return false;
-            break;
-        }
+        if (!Same(a[i], b[i])) return false;
       }
       return true;
+    }
+    bool operator()(const KeyRefs& a, const Row& b) const {
+      if (a.n != b.size()) return false;
+      for (size_t i = 0; i < a.n; ++i) {
+        if (!Same(a.refs[i], b[i])) return false;
+      }
+      return true;
+    }
+    bool operator()(const Row& a, const KeyRefs& b) const {
+      return (*this)(b, a);
     }
   };
   std::unordered_map<Row, Group, GroupKeyHash, GroupKeyEq> groups;
@@ -1068,56 +1092,65 @@ Status SelectExecutor::RunAggregation(const RowSink& sink) {
     for (size_t k = 0; k < group_by_.size(); ++k) {
       key_vec[k] = EvalBatchSupported(*group_by_[k]);
     }
-    std::vector<Value> scratch;
-    std::vector<std::vector<Value>> key_cols(group_by_.size());
+    BatchValues arg_values;
+    std::vector<BatchValues> key_cols(group_by_.size());
+    std::vector<ValueRef> key_refs(group_by_.size());
     std::vector<Group*> row_groups;
+    Row row;  // a selected row, materialized for scalar fallbacks
     RQL_RETURN_IF_ERROR(ScanBatched([&](RowBatch& batch) -> Status {
+      const DecodedPage& page = *batch.page;
       const uint32_t* sel = batch.selection.data();
       size_t n = batch.selection.size();
+      auto new_group = [&](Row key, uint32_t repr_row) {
+        Group& g = groups.try_emplace(std::move(key)).first->second;
+        page.MaterializeRow(repr_row, &g.repr);
+        g.accums.resize(agg_nodes_.size());
+        group_order.push_back(&g);
+        return &g;
+      };
       // Resolve every selected row's group first (one shared group
       // without GROUP BY), creating groups in first-appearance order —
       // the same order the row path produces.
       row_groups.assign(n, nullptr);
       if (group_by_.empty()) {
-        auto [it, inserted] = groups.try_emplace(Row());
-        if (inserted) {
-          it->second.repr = batch.rows[sel[0]];
-          it->second.accums.resize(agg_nodes_.size());
-          group_order.push_back(&it->second);
-        }
-        for (size_t j = 0; j < n; ++j) row_groups[j] = &it->second;
+        auto it = groups.find(Row());
+        Group* g = it != groups.end() ? &it->second : new_group(Row(), sel[0]);
+        for (size_t j = 0; j < n; ++j) row_groups[j] = g;
       } else {
         for (size_t k = 0; k < group_by_.size(); ++k) {
           if (key_vec[k]) {
-            RQL_RETURN_IF_ERROR(EvalBatch(*group_by_[k], batch.rows, sel, n,
-                                          &key_cols[k]));
+            RQL_RETURN_IF_ERROR(
+                EvalBatch(*group_by_[k], page, sel, n, &key_cols[k]));
           } else {
             if (ctx_.stats != nullptr) {
               ctx_.stats->batch_fallback_rows += static_cast<int64_t>(n);
             }
-            key_cols[k].resize(n);
+            BatchValues& col = key_cols[k];
+            col.Reset(&page, sel, n);
+            col.values.resize(n);
             for (size_t j = 0; j < n; ++j) {
-              const Row& row = batch.rows[sel[j]];
+              page.MaterializeRow(sel[j], &row);
               EvalContext ectx{&row, ctx_.functions, nullptr, nullptr,
                                this};
-              RQL_ASSIGN_OR_RETURN(key_cols[k][j],
+              RQL_ASSIGN_OR_RETURN(col.values[j],
                                    EvalExpr(*group_by_[k], ectx));
             }
           }
         }
+        const KeyRefs probe{key_refs.data(), key_refs.size()};
         for (size_t j = 0; j < n; ++j) {
-          Row key;
-          key.reserve(group_by_.size());
           for (size_t k = 0; k < group_by_.size(); ++k) {
-            key.push_back(key_cols[k][j]);
+            key_refs[k] = key_cols[k].at(j);
           }
-          auto [it, inserted] = groups.try_emplace(std::move(key));
-          if (inserted) {
-            it->second.repr = batch.rows[sel[j]];
-            it->second.accums.resize(agg_nodes_.size());
-            group_order.push_back(&it->second);
+          auto it = groups.find(probe);
+          if (it != groups.end()) {
+            row_groups[j] = &it->second;
+            continue;
           }
-          row_groups[j] = &it->second;
+          Row key;
+          key.reserve(key_refs.size());
+          for (ValueRef v : key_refs) key.push_back(v.ToValue());
+          row_groups[j] = new_group(std::move(key), sel[j]);
         }
       }
       // Aggregate transitions, one node at a time across the batch.
@@ -1135,53 +1168,44 @@ Status SelectExecutor::RunAggregation(const RowSink& sink) {
             ctx_.stats->batch_fallback_rows += static_cast<int64_t>(n);
           }
           for (size_t j = 0; j < n; ++j) {
-            const Row& row = batch.rows[sel[j]];
+            page.MaterializeRow(sel[j], &row);
             EvalContext ectx{&row, ctx_.functions, nullptr, nullptr, this};
             RQL_RETURN_IF_ERROR(UpdateAccum(kinds[i], node, ectx,
                                             &row_groups[j]->accums[i]));
           }
           continue;
         }
-        bool column_arg = node.args[0]->kind == ExprKind::kColumnRef;
-        if (!column_arg) {
-          RQL_RETURN_IF_ERROR(
-              EvalBatch(*node.args[0], batch.rows, sel, n, &scratch));
-        }
+        // Column arguments are read straight off the page's cells.
+        RQL_RETURN_IF_ERROR(
+            EvalBatch(*node.args[0], page, sel, n, &arg_values));
         if (node.distinct_arg || !group_by_.empty()) {
           // Scattered groups or distinct tracking: per-value transition
           // over the evaluated argument.
           for (size_t j = 0; j < n; ++j) {
-            const Value& arg = column_arg
-                                   ? batch.rows[sel[j]][static_cast<size_t>(
-                                         node.args[0]->column_index)]
-                                   : scratch[j];
             RQL_RETURN_IF_ERROR(UpdateAccumValue(kinds[i],
-                                                 node.distinct_arg, arg,
+                                                 node.distinct_arg,
+                                                 arg_values.at(j),
                                                  &row_groups[j]->accums[i]));
           }
           continue;
         }
         // Single group, non-distinct: fold the whole selection in one
-        // kernel call — straight off the page for column arguments.
+        // kernel call.
         AggAccum* accum = &row_groups[0]->accums[i];
-        rql::batch::FoldInput in =
-            column_arg ? rql::batch::FoldInput::Column(
-                             batch.rows, sel, n, node.args[0]->column_index)
-                       : rql::batch::FoldInput::Dense(scratch.data(), n);
         switch (kinds[i]) {
           case AggKind::kCount:
-            rql::batch::FoldCount(in, &accum->count);
+            rql::batch::FoldCount(arg_values, &accum->count);
             break;
           case AggKind::kSum:
           case AggKind::kAvg:
           case AggKind::kTotal:
             RQL_RETURN_IF_ERROR(rql::batch::FoldSum(
-                in, &accum->count, &accum->has_value, &accum->real_sum,
-                &accum->int_sum, &accum->int_only));
+                arg_values, &accum->count, &accum->has_value,
+                &accum->real_sum, &accum->int_sum, &accum->int_only));
             break;
           case AggKind::kMin:
           case AggKind::kMax:
-            rql::batch::FoldExtreme(kinds[i] == AggKind::kMin, in,
+            rql::batch::FoldExtreme(kinds[i] == AggKind::kMin, arg_values,
                                     &accum->count, &accum->has_value,
                                     &accum->extreme);
             break;

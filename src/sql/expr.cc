@@ -61,7 +61,7 @@ void CollectAggregates(Expr* expr, std::vector<Expr*>* out) {
   }
 }
 
-bool ValueIsTrue(const Value& v) {
+bool ValueIsTrue(ValueRef v) {
   switch (v.type()) {
     case ValueType::kNull: return false;
     case ValueType::kInteger: return v.integer() != 0;
@@ -125,7 +125,7 @@ Result<Value> EvalComparison(BinOp op, const Value& lhs, const Value& rhs) {
   return Value::Integer(result ? 1 : 0);
 }
 
-Result<Value> EvalArithmetic(BinOp op, const Value& lhs, const Value& rhs) {
+Result<Value> EvalArithmetic(BinOp op, ValueRef lhs, ValueRef rhs) {
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
   if (!lhs.is_numeric() || !rhs.is_numeric()) {
     return Status::InvalidArgument("arithmetic on non-numeric values");
@@ -184,9 +184,9 @@ bool EvalBatchSupported(const Expr& expr) {
 namespace {
 
 // Batch evaluation. Every evaluator below runs over the selected rows
-// rows[sel[0..count)] with count > 0; the public entry points return
-// early on empty selections, so a subexpression is never evaluated over
-// zero rows (the scalar path evaluates it on none either).
+// sel[0..count) of one page with count > 0; the public entry points
+// return early on empty selections, so a subexpression is never
+// evaluated over zero rows (the scalar path evaluates it on none either).
 
 // Kleene truth of one selected row.
 enum Truth : uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
@@ -200,42 +200,31 @@ bool IsPredicate(const Expr& expr) {
           expr.bin_op == BinOp::kOr);
 }
 
-// One operand over the selected rows. Leaves are borrowed: a column of
-// the batch's rows, or the literal or bound parameter in the tree. A
-// computed subtree holds one value per selected row.
-struct Operand {
-  int column = -1;
-  const Value* scalar = nullptr;
-  std::vector<Value> values;
+Status EvalTruth(const Expr& expr, const DecodedPage& page,
+                 const uint32_t* sel, size_t count, std::vector<uint8_t>* out);
 
-  const Value& at(const Row* rows, const uint32_t* sel, size_t i) const {
-    if (column >= 0) return rows[sel[i]][static_cast<size_t>(column)];
-    if (scalar != nullptr) return *scalar;
-    return values[i];
-  }
-};
-
-Status EvalTruth(const Expr& expr, const Row* rows, const uint32_t* sel,
-                 size_t count, std::vector<uint8_t>* out);
-
-Status EvalOperand(const Expr& expr, const Row* rows, const uint32_t* sel,
-                   size_t count, Operand* out) {
+// Fills `out` for expr over page rows sel[0..count). Leaves are borrowed:
+// a page column, or the literal or bound parameter in the tree; only a
+// computed subtree materializes one Value per selected row.
+Status EvalOperand(const Expr& expr, const DecodedPage& page,
+                   const uint32_t* sel, size_t count, BatchValues* out) {
+  out->Reset(&page, sel, count);
   switch (expr.kind) {
     case ExprKind::kLiteral:
-      out->scalar = &expr.literal;
+      out->SetScalar(expr.literal);
       return Status::OK();
     case ExprKind::kParameter:
       if (!expr.param_bound) {
         return Status::InvalidArgument(
             "unbound parameter ?" + std::to_string(expr.param_index));
       }
-      out->scalar = &expr.literal;
+      out->SetScalar(expr.literal);
       return Status::OK();
     case ExprKind::kColumnRef:
       // The batch's rows share one width (ScanBatched checks every
       // row's arity), so one check covers the batch.
       if (expr.column_index < 0 ||
-          expr.column_index >= static_cast<int>(rows[sel[0]].size())) {
+          static_cast<uint32_t>(expr.column_index) >= page.width(sel[0])) {
         return Status::Internal("unbound column reference: " + expr.name);
       }
       out->column = expr.column_index;
@@ -246,7 +235,7 @@ Status EvalOperand(const Expr& expr, const Row* rows, const uint32_t* sel,
   out->values.resize(count);
   if (IsPredicate(expr)) {
     std::vector<uint8_t> truth;
-    RQL_RETURN_IF_ERROR(EvalTruth(expr, rows, sel, count, &truth));
+    RQL_RETURN_IF_ERROR(EvalTruth(expr, page, sel, count, &truth));
     for (size_t i = 0; i < count; ++i) {
       out->values[i] = truth[i] == kUnknown
                            ? Value::Null()
@@ -255,10 +244,10 @@ Status EvalOperand(const Expr& expr, const Row* rows, const uint32_t* sel,
     return Status::OK();
   }
   if (expr.kind == ExprKind::kUnary) {  // kNeg
-    Operand in;
-    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[0], rows, sel, count, &in));
+    BatchValues in;
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[0], page, sel, count, &in));
     for (size_t i = 0; i < count; ++i) {
-      const Value& v = in.at(rows, sel, i);
+      ValueRef v = in.at(i);
       if (v.type() == ValueType::kInteger) {
         out->values[i] = Value::Integer(-v.integer());
       } else if (v.type() == ValueType::kReal) {
@@ -270,13 +259,12 @@ Status EvalOperand(const Expr& expr, const Row* rows, const uint32_t* sel,
     return Status::OK();
   }
   if (expr.kind == ExprKind::kBinary) {  // arithmetic
-    Operand lhs, rhs;
-    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[0], rows, sel, count, &lhs));
-    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[1], rows, sel, count, &rhs));
+    BatchValues lhs, rhs;
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[0], page, sel, count, &lhs));
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[1], page, sel, count, &rhs));
     for (size_t i = 0; i < count; ++i) {
       RQL_ASSIGN_OR_RETURN(out->values[i],
-                           EvalArithmetic(expr.bin_op, lhs.at(rows, sel, i),
-                                          rhs.at(rows, sel, i)));
+                           EvalArithmetic(expr.bin_op, lhs.at(i), rhs.at(i)));
     }
     return Status::OK();
   }
@@ -305,22 +293,30 @@ Truth Holds(unsigned bits, int c) {
   return ((bits >> (c + 1)) & 1u) != 0 ? kTrue : kFalse;
 }
 
-// `rows[sel[i]][col] op text` for every selected row, with `bits`
-// oriented so the column is on the left. It keeps CompareValues' order
-// NULL < numeric < text: a numeric value is below any text constant.
+// `page[sel[i]][col] op text` for every selected row, with `bits`
+// oriented so the column is on the left, read straight off the page's
+// cells. It keeps CompareValues' order NULL < numeric < text: a numeric
+// value is below any text constant.
 template <typename Emit>
-void CompareColumnToText(unsigned bits, size_t col, const std::string& text,
-                         const Row* rows, const uint32_t* sel, size_t count,
-                         Emit emit) {
+void CompareColumnToText(unsigned bits, uint32_t col, std::string_view text,
+                         const DecodedPage& page, const uint32_t* sel,
+                         size_t count, Emit emit) {
   // Only the sign of c matters, so = and <> need equality alone.
   bool equality = bits == 0b010 || bits == 0b101;
+  const uint32_t* row_begin = page.row_begin.data();
+  const ValueType* tags = page.tags.data();
+  const uint64_t* cells = page.cells.data();
   for (size_t i = 0; i < count; ++i) {
-    const Value& v = rows[sel[i]][col];
-    if (v.type() == ValueType::kText) {
-      int c = equality ? (v.text() == text ? 0 : 1) : v.text().compare(text);
+    const uint32_t at = row_begin[sel[i]] + col;
+    const ValueType type = tags[at];
+    if (type == ValueType::kText) {
+      const uint64_t cell = cells[at];
+      std::string_view v(page.base + (cell >> 32),
+                         static_cast<uint32_t>(cell));
+      int c = equality ? (v == text ? 0 : 1) : v.compare(text);
       emit(i, Holds(bits, c < 0 ? -1 : (c > 0 ? 1 : 0)));
     } else {
-      emit(i, v.is_null() ? kUnknown : Holds(bits, -1));
+      emit(i, type == ValueType::kNull ? kUnknown : Holds(bits, -1));
     }
   }
 }
@@ -328,20 +324,22 @@ void CompareColumnToText(unsigned bits, size_t col, const std::string& text,
 // Calls emit(i, truth) for each selected row i in order, after reading
 // that row's operands — so `emit` may narrow `sel` in place.
 template <typename Emit>
-void CompareOperands(BinOp op, const Operand& lhs, const Operand& rhs,
-                     const Row* rows, const uint32_t* sel, size_t count,
+void CompareOperands(BinOp op, const BatchValues& lhs, const BatchValues& rhs,
                      Emit emit) {
+  const size_t count = lhs.count;
   if (op == BinOp::kLike) {
     for (size_t i = 0; i < count; ++i) {
-      const Value& l = lhs.at(rows, sel, i);
-      const Value& r = rhs.at(rows, sel, i);
+      ValueRef l = lhs.at(i);
+      ValueRef r = rhs.at(i);
       if (l.is_null() || r.is_null()) {
         emit(i, kUnknown);
       } else if (l.type() == ValueType::kText &&
                  r.type() == ValueType::kText) {
         emit(i, LikeMatch(l.text(), r.text()) ? kTrue : kFalse);
       } else {
-        emit(i, LikeMatch(l.ToString(), r.ToString()) ? kTrue : kFalse);
+        emit(i, LikeMatch(l.ToValue().ToString(), r.ToValue().ToString())
+                    ? kTrue
+                    : kFalse);
       }
     }
     return;
@@ -349,42 +347,43 @@ void CompareOperands(BinOp op, const Operand& lhs, const Operand& rhs,
   unsigned bits = ComparisonBits(op);
   // A column against a text constant, in either orientation, takes the
   // typed loop; every other shape compares through CompareValues.
-  auto is_text = [](const Value* v) {
-    return v != nullptr && v->type() == ValueType::kText;
+  auto is_text = [](const BatchValues& v) {
+    return v.is_scalar && v.scalar.type() == ValueType::kText;
   };
-  if (lhs.column >= 0 && is_text(rhs.scalar)) {
-    CompareColumnToText(bits, static_cast<size_t>(lhs.column),
-                        rhs.scalar->text(), rows, sel, count, emit);
+  if (lhs.column >= 0 && is_text(rhs)) {
+    CompareColumnToText(bits, static_cast<uint32_t>(lhs.column),
+                        rhs.scalar.text(), *lhs.page, lhs.sel, count, emit);
     return;
   }
-  if (rhs.column >= 0 && is_text(lhs.scalar)) {
-    CompareColumnToText(MirrorBits(bits), static_cast<size_t>(rhs.column),
-                        lhs.scalar->text(), rows, sel, count, emit);
+  if (rhs.column >= 0 && is_text(lhs)) {
+    CompareColumnToText(MirrorBits(bits), static_cast<uint32_t>(rhs.column),
+                        lhs.scalar.text(), *rhs.page, rhs.sel, count, emit);
     return;
   }
   for (size_t i = 0; i < count; ++i) {
-    const Value& l = lhs.at(rows, sel, i);
-    const Value& r = rhs.at(rows, sel, i);
+    ValueRef l = lhs.at(i);
+    ValueRef r = rhs.at(i);
     emit(i, l.is_null() || r.is_null() ? kUnknown
                                         : Holds(bits, CompareValues(l, r)));
   }
 }
 
-Status EvalTruth(const Expr& expr, const Row* rows, const uint32_t* sel,
-                 size_t count, std::vector<uint8_t>* out) {
+Status EvalTruth(const Expr& expr, const DecodedPage& page,
+                 const uint32_t* sel, size_t count,
+                 std::vector<uint8_t>* out) {
   if (expr.kind == ExprKind::kBinary && IsComparison(expr.bin_op)) {
-    Operand lhs, rhs;
-    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[0], rows, sel, count, &lhs));
-    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[1], rows, sel, count, &rhs));
+    BatchValues lhs, rhs;
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[0], page, sel, count, &lhs));
+    RQL_RETURN_IF_ERROR(EvalOperand(*expr.args[1], page, sel, count, &rhs));
     out->resize(count);
     uint8_t* truth = out->data();
-    CompareOperands(expr.bin_op, lhs, rhs, rows, sel, count,
+    CompareOperands(expr.bin_op, lhs, rhs,
                     [truth](size_t i, Truth t) { truth[i] = t; });
     return Status::OK();
   }
   if (expr.kind == ExprKind::kBinary &&
       (expr.bin_op == BinOp::kAnd || expr.bin_op == BinOp::kOr)) {
-    RQL_RETURN_IF_ERROR(EvalTruth(*expr.args[0], rows, sel, count, out));
+    RQL_RETURN_IF_ERROR(EvalTruth(*expr.args[0], page, sel, count, out));
     // The right operand runs only over the rows the left side leaves
     // undecided — TRUE or NULL for AND, FALSE or NULL for OR — the batch
     // form of the scalar short-circuit.
@@ -399,7 +398,7 @@ Status EvalTruth(const Expr& expr, const Row* rows, const uint32_t* sel,
     if (sub.empty()) return Status::OK();
     std::vector<uint8_t> rhs;
     RQL_RETURN_IF_ERROR(
-        EvalTruth(*expr.args[1], rows, sub.data(), sub.size(), &rhs));
+        EvalTruth(*expr.args[1], page, sub.data(), sub.size(), &rhs));
     for (size_t j = 0; j < sub.size(); ++j) {
       uint8_t& slot = (*out)[sub_pos[j]];
       if (rhs[j] == decided) {
@@ -411,7 +410,7 @@ Status EvalTruth(const Expr& expr, const Row* rows, const uint32_t* sel,
     return Status::OK();
   }
   if (expr.kind == ExprKind::kUnary && expr.un_op == UnOp::kNot) {
-    RQL_RETURN_IF_ERROR(EvalTruth(*expr.args[0], rows, sel, count, out));
+    RQL_RETURN_IF_ERROR(EvalTruth(*expr.args[0], page, sel, count, out));
     for (uint8_t& t : *out) {
       if (t != kUnknown) t = t == kTrue ? kFalse : kTrue;
     }
@@ -422,51 +421,49 @@ Status EvalTruth(const Expr& expr, const Row* rows, const uint32_t* sel,
     bool want_null = expr.un_op == UnOp::kIsNull;
     const Expr& arg = *expr.args[0];
     if (IsPredicate(arg)) {
-      RQL_RETURN_IF_ERROR(EvalTruth(arg, rows, sel, count, out));
+      RQL_RETURN_IF_ERROR(EvalTruth(arg, page, sel, count, out));
       for (uint8_t& t : *out) {
         t = (t == kUnknown) == want_null ? kTrue : kFalse;
       }
       return Status::OK();
     }
-    Operand v;
-    RQL_RETURN_IF_ERROR(EvalOperand(arg, rows, sel, count, &v));
+    BatchValues v;
+    RQL_RETURN_IF_ERROR(EvalOperand(arg, page, sel, count, &v));
     out->resize(count);
     for (size_t i = 0; i < count; ++i) {
-      (*out)[i] =
-          v.at(rows, sel, i).is_null() == want_null ? kTrue : kFalse;
+      (*out)[i] = v.at(i).is_null() == want_null ? kTrue : kFalse;
     }
     return Status::OK();
   }
   // A datum used as a predicate: ValueIsTrue, with NULL unknown.
-  Operand v;
-  RQL_RETURN_IF_ERROR(EvalOperand(expr, rows, sel, count, &v));
+  BatchValues v;
+  RQL_RETURN_IF_ERROR(EvalOperand(expr, page, sel, count, &v));
   out->resize(count);
   for (size_t i = 0; i < count; ++i) {
-    const Value& x = v.at(rows, sel, i);
+    ValueRef x = v.at(i);
     (*out)[i] = x.is_null() ? kUnknown : (ValueIsTrue(x) ? kTrue : kFalse);
   }
   return Status::OK();
 }
 
 // FilterBatch over a non-empty selection.
-Status FilterSelected(const Expr& pred, const Row* rows,
+Status FilterSelected(const Expr& pred, const DecodedPage& page,
                       std::vector<uint32_t>* sel) {
   uint32_t* s = sel->data();
   size_t count = sel->size();
   size_t keep = 0;
   if (pred.kind == ExprKind::kBinary && IsComparison(pred.bin_op)) {
-    Operand lhs, rhs;
-    RQL_RETURN_IF_ERROR(EvalOperand(*pred.args[0], rows, s, count, &lhs));
-    RQL_RETURN_IF_ERROR(EvalOperand(*pred.args[1], rows, s, count, &rhs));
-    CompareOperands(pred.bin_op, lhs, rhs, rows, s, count,
-                    [s, &keep](size_t i, Truth t) {
-                      if (t == kTrue) s[keep++] = s[i];
-                    });
+    BatchValues lhs, rhs;
+    RQL_RETURN_IF_ERROR(EvalOperand(*pred.args[0], page, s, count, &lhs));
+    RQL_RETURN_IF_ERROR(EvalOperand(*pred.args[1], page, s, count, &rhs));
+    CompareOperands(pred.bin_op, lhs, rhs, [s, &keep](size_t i, Truth t) {
+      if (t == kTrue) s[keep++] = s[i];
+    });
     sel->resize(keep);
     return Status::OK();
   }
   std::vector<uint8_t> truth;
-  RQL_RETURN_IF_ERROR(EvalTruth(pred, rows, s, count, &truth));
+  RQL_RETURN_IF_ERROR(EvalTruth(pred, page, s, count, &truth));
   for (size_t i = 0; i < count; ++i) {
     if (truth[i] == kTrue) s[keep++] = s[i];
   }
@@ -476,24 +473,16 @@ Status FilterSelected(const Expr& pred, const Row* rows,
 
 }  // namespace
 
-Status FilterBatch(const Expr& pred, const Row* rows,
+Status FilterBatch(const Expr& pred, const DecodedPage& page,
                    std::vector<uint32_t>* sel) {
   if (sel->empty()) return Status::OK();
-  return FilterSelected(pred, rows, sel);
+  return FilterSelected(pred, page, sel);
 }
 
-Status EvalBatch(const Expr& expr, const Row* rows, const uint32_t* sel,
-                 size_t count, std::vector<Value>* out) {
-  out->clear();
-  if (count == 0) return Status::OK();
-  Operand v;
-  RQL_RETURN_IF_ERROR(EvalOperand(expr, rows, sel, count, &v));
-  if (v.column < 0 && v.scalar == nullptr) {
-    out->swap(v.values);
-    return Status::OK();
-  }
-  out->reserve(count);
-  for (size_t i = 0; i < count; ++i) out->push_back(v.at(rows, sel, i));
+Status EvalBatch(const Expr& expr, const DecodedPage& page,
+                 const uint32_t* sel, size_t count, BatchValues* out) {
+  if (count > 0) return EvalOperand(expr, page, sel, count, out);
+  out->Reset(&page, sel, count);
   return Status::OK();
 }
 

@@ -69,27 +69,23 @@ void CompactPage(Page* page) {
   page->WriteU16(kDataEndOff, pos);
 }
 
-// Decodes every live record of `page` into `out` (slots, raw bytes,
-// decoded rows; string_views point into the buffer backing `page`).
-// Does not touch out->pin; the caller anchors the buffer's lifetime.
+// Decodes every live record of `page` into `out` (slots and cells; text
+// cells point into the buffer backing `page`). Does not touch out->pin;
+// the caller anchors the buffer's lifetime.
 Status DecodePageRecords(const Page& page, DecodedPage* out) {
+  out->base = page.data;
   out->next = page.ReadU32(kNextOff);
   uint16_t slot_count = page.ReadU16(kSlotCountOff);
-  // Sized once: cached entries live long, and doubling growth would leave
-  // up to half of each vector unused (and charged to the cache budget).
   out->slots.reserve(slot_count);
-  out->records.reserve(slot_count);
-  out->rows.reserve(slot_count);
+  out->row_begin.reserve(slot_count + 1u);
   for (int s = 0; s < slot_count; ++s) {
     uint16_t off, len;
     ReadSlot(page, s, &off, &len);
     if (len == kDeadLen) continue;
-    std::string_view record(page.data + off, len);
-    RQL_ASSIGN_OR_RETURN(Row row, DecodeRow(record));
-    out->slots.push_back(static_cast<uint16_t>(s));
-    out->records.push_back(record);
-    out->rows.push_back(std::move(row));
+    RQL_RETURN_IF_ERROR(out->AppendRecord(
+        std::string_view(page.data + off, len), static_cast<uint16_t>(s)));
   }
+  out->ShrinkToFit();
   return Status::OK();
 }
 
@@ -371,8 +367,12 @@ void HeapTable::Iterator::LoadPage(PageId id) {
 void HeapTable::Iterator::AdvanceToLiveSlot() {
   while (page_id_ != kInvalidPageId) {
     if (cached_ != nullptr) {
-      if (++slot_ < static_cast<int>(cached_->records.size())) {
-        record_ = cached_->records[slot_];
+      if (++slot_ < static_cast<int>(cached_->size())) {
+        // Cache entries pin the frame they were decoded from.
+        const Page& frame = *cached_->pin;
+        uint16_t off, len;
+        ReadSlot(frame, cached_->slots[slot_], &off, &len);
+        record_ = std::string_view(frame.data + off, len);
         valid_ = true;
         return;
       }
@@ -470,10 +470,8 @@ void HeapTable::BatchIterator::LoadBatch(PageId id) {
           owned, &owned->decoded);
     }
     PageId next = entry->next;
-    if (!entry->rows.empty()) {
+    if (entry->size() > 0) {
       batch_.page = std::move(entry);
-      batch_.rows = batch_.page->rows.data();
-      batch_.size = static_cast<uint32_t>(batch_.page->rows.size());
       batch_.selection.clear();
       next_ = next;
       valid_ = true;

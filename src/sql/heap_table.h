@@ -84,10 +84,13 @@ class HeapTable {
     }
     std::string_view record() const { return record_; }
 
-    /// The current record's pre-decoded row, when it was served from the
-    /// scan cache; nullptr otherwise (caller decodes record() itself).
-    const Row* cached_row() const {
-      return cached_ ? &cached_->rows[slot_] : nullptr;
+    /// When the current record was served from the scan cache, fills
+    /// `*out` from its decoded cells (reusing out's storage) and returns
+    /// true; false otherwise (caller decodes record() itself).
+    bool cached_row(Row* out) const {
+      if (cached_ == nullptr) return false;
+      cached_->MaterializeRow(static_cast<uint32_t>(slot_), out);
+      return true;
     }
 
     void Next();

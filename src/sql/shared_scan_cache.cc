@@ -45,17 +45,12 @@ SharedScanCache::Shard* SharedScanCache::ShardFor(uint64_t version) {
 }
 
 uint64_t SharedScanCache::EstimateBytes(const DecodedPage& page) {
-  uint64_t b = sizeof(DecodedPage) + storage::kPageSize;
-  b += page.slots.capacity() * sizeof(uint16_t);
-  b += page.records.capacity() * sizeof(std::string_view);
-  b += page.rows.capacity() * sizeof(Row);
-  for (const Row& row : page.rows) {
-    b += row.capacity() * sizeof(Value);
-    for (const Value& v : row) {
-      if (v.type() == ValueType::kText) b += v.text().size();
-    }
-  }
-  return b;
+  // The pinned frame (text cells point into it) plus the cell arrays.
+  return sizeof(DecodedPage) + storage::kPageSize +
+         page.slots.capacity() * sizeof(uint16_t) +
+         page.row_begin.capacity() * sizeof(uint32_t) +
+         page.tags.capacity() * sizeof(ValueType) +
+         page.cells.capacity() * sizeof(uint64_t);
 }
 
 void SharedScanCache::Touch(Shard* shard, Entry* entry, uint64_t version) {

@@ -198,7 +198,8 @@ class SharedScanCache : public retro::CaptureListener {
   }
 
   /// Approximate resident size of one decoded page: the pinned frame plus
-  /// the decoded slots/records/rows. The budget accounting charge.
+  /// its slot, row-offset, tag and cell arrays. The budget accounting
+  /// charge.
   static uint64_t EstimateBytes(const DecodedPage& page);
 
  private:

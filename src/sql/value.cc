@@ -34,6 +34,21 @@ bool Value::operator==(const Value& other) const {
   return CompareValues(*this, other) == 0;
 }
 
+void Value::Assign(ValueRef v) {
+  switch (v.type()) {
+    case ValueType::kNull: data_ = std::monostate{}; return;
+    case ValueType::kInteger: data_ = v.integer(); return;
+    case ValueType::kReal: data_ = v.real(); return;
+    case ValueType::kText:
+      if (auto* s = std::get_if<std::string>(&data_)) {
+        s->assign(v.text());
+      } else {
+        data_ = std::string(v.text());
+      }
+      return;
+  }
+}
+
 namespace {
 // Ordering rank of a type class: NULL < numeric < text.
 int TypeRank(ValueType t) {
@@ -45,9 +60,11 @@ int TypeRank(ValueType t) {
   }
   return 3;
 }
-}  // namespace
 
-int CompareValues(const Value& a, const Value& b) {
+// The value order, for Value and ValueRef alike: both expose type(),
+// integer(), AsDouble() and a comparable text().
+template <typename V>
+int CompareImpl(const V& a, const V& b) {
   int ra = TypeRank(a.type());
   int rb = TypeRank(b.type());
   if (ra != rb) return ra < rb ? -1 : 1;
@@ -68,6 +85,12 @@ int CompareValues(const Value& a, const Value& b) {
     }
   }
 }
+
+}  // namespace
+
+int CompareValues(const Value& a, const Value& b) { return CompareImpl(a, b); }
+
+int CompareValues(ValueRef a, ValueRef b) { return CompareImpl(a, b); }
 
 int CompareRows(const Row& a, const Row& b) {
   size_t n = std::min(a.size(), b.size());

@@ -22,6 +22,8 @@ enum class ValueType : uint8_t {
 
 std::string_view ValueTypeName(ValueType type);
 
+class ValueRef;
+
 /// A dynamically typed SQL value with SQLite-style coercion rules.
 class Value {
  public:
@@ -74,8 +76,89 @@ class Value {
 
   bool operator==(const Value& other) const;
 
+  /// Overwrites this value with `v`, reusing the text buffer when both
+  /// are text (a scratch row re-filled row after row allocates once).
+  void Assign(ValueRef v);
+
  private:
   std::variant<std::monostate, int64_t, double, std::string> data_;
+};
+
+/// A borrowed SQL value: a Value, or one cell of a DecodedPage read in
+/// place. Text is a view into storage the caller keeps alive. Trivially
+/// copyable, 16 bytes; pass by value.
+class ValueRef {
+ public:
+  ValueRef() : type_(ValueType::kNull), i_(0) {}
+  // Implicit: every Value is readable through a ValueRef.
+  ValueRef(const Value& v) : type_(v.type()), i_(0) {  // NOLINT
+    switch (type_) {
+      case ValueType::kNull: break;
+      case ValueType::kInteger: i_ = v.integer(); break;
+      case ValueType::kReal: r_ = v.real(); break;
+      case ValueType::kText:
+        s_ = v.text().data();
+        n_ = static_cast<uint32_t>(v.text().size());
+        break;
+    }
+  }
+
+  static ValueRef Integer(int64_t v) {
+    ValueRef r;
+    r.type_ = ValueType::kInteger;
+    r.i_ = v;
+    return r;
+  }
+  static ValueRef Real(double v) {
+    ValueRef r;
+    r.type_ = ValueType::kReal;
+    r.r_ = v;
+    return r;
+  }
+  static ValueRef Text(std::string_view v) {
+    ValueRef r;
+    r.type_ = ValueType::kText;
+    r.s_ = v.data();
+    r.n_ = static_cast<uint32_t>(v.size());
+    return r;
+  }
+
+  ValueType type() const { return type_; }
+  bool is_null() const { return type_ == ValueType::kNull; }
+  bool is_numeric() const {
+    return type_ == ValueType::kInteger || type_ == ValueType::kReal;
+  }
+  /// Accessors require the matching type.
+  int64_t integer() const { return i_; }
+  double real() const { return r_; }
+  std::string_view text() const { return std::string_view(s_, n_); }
+
+  /// Same conversions as Value::AsDouble.
+  double AsDouble() const {
+    if (type_ == ValueType::kInteger) return static_cast<double>(i_);
+    if (type_ == ValueType::kReal) return r_;
+    return 0.0;
+  }
+
+  /// An owning copy.
+  Value ToValue() const {
+    switch (type_) {
+      case ValueType::kInteger: return Value::Integer(i_);
+      case ValueType::kReal: return Value::Real(r_);
+      case ValueType::kText: return Value::Text(std::string(text()));
+      case ValueType::kNull: break;
+    }
+    return Value::Null();
+  }
+
+ private:
+  ValueType type_;
+  uint32_t n_ = 0;  // text length
+  union {
+    int64_t i_;
+    double r_;
+    const char* s_;
+  };
 };
 
 /// A record: one value per column.
@@ -85,6 +168,8 @@ using Row = std::vector<Value>;
 /// NULL < numeric (ints and reals compared numerically) < text.
 /// Returns <0, 0, >0.
 int CompareValues(const Value& a, const Value& b);
+/// The same order over borrowed values (one definition serves both).
+int CompareValues(ValueRef a, ValueRef b);
 
 /// Lexicographic row comparison with CompareValues semantics; a shorter row
 /// that is a prefix of a longer one compares less.

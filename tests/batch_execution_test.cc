@@ -335,11 +335,11 @@ class BatchIteratorTest : public ::testing::Test {
     for (auto it = sql::HeapTable::ScanBatches(reader, Root(), cache);
          it.Valid(); it.Next()) {
       sql::RowBatch& b = it.batch();
-      EXPECT_GT(b.size, 0u);  // empty pages never surface as batches
+      EXPECT_GT(b.size(), 0u);  // empty pages never surface as batches
       EXPECT_TRUE(b.selection.empty());  // the consumer fills it
-      for (uint32_t i = 0; i < b.size; ++i) {
-        const Row& row = b.rows[i];
-        out.emplace_back(row[0].integer(), row[1].integer());
+      for (uint32_t i = 0; i < b.size(); ++i) {
+        out.emplace_back(b.page->cell(i, 0).integer(),
+                         b.page->cell(i, 1).integer());
       }
       if (per_batch) per_batch(batch_index);
       ++batch_index;

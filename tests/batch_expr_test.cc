@@ -4,11 +4,16 @@
 // the row path (EvalExpr + ValueIsTrue per row), EvalBatch's values must
 // equal EvalExpr's, and GROUP BY queries run through the batch executor
 // must equal the row-at-a-time executor in values and first-appearance
-// group order.
+// group order. Edge values (NULL, INT64 min/max, -0.0 beside 0.0, empty
+// text, text ending at a frame's last byte, rows narrower than the
+// expression) are read from compact DecodedPage cells exactly as the row
+// path reads materialized Values.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,7 +21,9 @@
 #include "sql/ast.h"
 #include "sql/database.h"
 #include "sql/expr.h"
+#include "sql/shared_scan_cache.h"
 #include "storage/env.h"
+#include "storage/page.h"
 
 namespace rql::sql {
 namespace {
@@ -249,6 +256,7 @@ class BatchExprDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(BatchExprDifferentialTest, FilterAndValuesMatchRowPath) {
   Random rng(GetParam());
   const std::vector<Row> rows = MakeTable(&rng, 257);
+  const std::shared_ptr<const DecodedPage> page = DecodeRows(rows);
   int errors = 0, kept_some = 0;
   for (int t = 0; t < 1500; ++t) {
     TreeGen gen(&rng, /*allow_params=*/true);
@@ -261,7 +269,7 @@ TEST_P(BatchExprDifferentialTest, FilterAndValuesMatchRowPath) {
                    std::to_string(sel.size()));
       RowPathResult expected = FilterRowPath(*pred, rows, sel);
       std::vector<uint32_t> got = sel;
-      Status st = FilterBatch(*pred, rows.data(), &got);
+      Status st = FilterBatch(*pred, *page, &got);
       ASSERT_EQ(st.ok(), expected.status.ok())
           << st.ToString() << " vs " << expected.status.ToString();
       if (st.ok()) {
@@ -274,9 +282,8 @@ TEST_P(BatchExprDifferentialTest, FilterAndValuesMatchRowPath) {
         }
       }
 
-      std::vector<Value> values;
-      Status vst = EvalBatch(*pred, rows.data(), sel.data(), sel.size(),
-                             &values);
+      BatchValues values;
+      Status vst = EvalBatch(*pred, *page, sel.data(), sel.size(), &values);
       ASSERT_EQ(vst.ok(), expected.status.ok()) << vst.ToString();
       if (!vst.ok()) continue;
       ASSERT_EQ(values.size(), sel.size());
@@ -285,7 +292,8 @@ TEST_P(BatchExprDifferentialTest, FilterAndValuesMatchRowPath) {
         ctx.row = &rows[sel[i]];
         Result<Value> v = EvalExpr(*pred, ctx);
         ASSERT_TRUE(v.ok());
-        ASSERT_EQ(EncodeRow({values[i]}), EncodeRow({*v})) << "position " << i;
+        ASSERT_EQ(EncodeRow({values.at(i).ToValue()}), EncodeRow({*v}))
+            << "position " << i;
       }
     }
   }
@@ -304,10 +312,15 @@ TEST_P(BatchExprDifferentialTest, GroupByMatchesRowPath) {
       data->Exec("CREATE TABLE t (i INTEGER, r REAL, s TEXT, m TEXT, "
                  "n INTEGER)")
           .ok());
-  // Several heap pages, so the batch path folds across batches.
+  // Several heap pages, so the batch path folds across batches. Snapshot
+  // 1 shares them with the current state, so AS OF 1 scans can take them
+  // from a decoded-page cache.
+  ASSERT_TRUE(data->Exec("BEGIN").ok());
   for (const Row& row : MakeTable(&rng, 700)) {
     ASSERT_TRUE(data->AppendRow("t", row).ok());
   }
+  ASSERT_TRUE(data->Exec("COMMIT WITH SNAPSHOT").ok());
+  SharedScanCache cache;
   const char* const kKeys[] = {"n",     "s",     "m",         "i, s",
                                "r",     "i + 1", "m * 2",     "n % 3, m",
                                "s, n",  "i < 2", "m, r, s"};
@@ -315,33 +328,44 @@ TEST_P(BatchExprDifferentialTest, GroupByMatchesRowPath) {
     TreeGen gen(&rng, /*allow_params=*/false);
     ExprPtr pred = gen.Pred(1 + static_cast<int>(rng.Uniform(3)));
     std::string keys = kKeys[rng.Uniform(11)];
-    std::string sql = "SELECT " + keys +
+    std::string sql = "SELECT AS OF 1 " + keys +
                       ", COUNT(*), SUM(i), MIN(m), MAX(s), AVG(r) FROM t "
                       "WHERE " +
                       ToSql(*pred) + " GROUP BY " + keys;
     SCOPED_TRACE(sql);
+    // The plain row path is the oracle for the uncached batch, cached row
+    // and cached batch paths.
     data->set_batch_execution(false);
     auto row_result = data->Query(sql);
-    data->set_batch_execution(true);
-    auto batch_result = data->Query(sql);
-    ASSERT_EQ(batch_result.ok(), row_result.ok())
-        << batch_result.status().ToString() << " vs "
-        << row_result.status().ToString();
-    if (!row_result.ok()) {
-      if (gen.OneErrorKind()) {
-        EXPECT_EQ(batch_result.status().ToString(),
-                  row_result.status().ToString());
+    for (bool cached : {false, true}) {
+      for (bool batch : {true, false}) {
+        if (!cached && !batch) continue;  // the oracle itself
+        SCOPED_TRACE(std::string(cached ? "cached " : "uncached ") +
+                     (batch ? "batch" : "row"));
+        data->set_scan_cache(cached ? &cache : nullptr);
+        data->set_batch_execution(batch);
+        auto result = data->Query(sql);
+        ASSERT_EQ(result.ok(), row_result.ok())
+            << result.status().ToString() << " vs "
+            << row_result.status().ToString();
+        if (!row_result.ok()) {
+          if (!batch || gen.OneErrorKind()) {
+            EXPECT_EQ(result.status().ToString(),
+                      row_result.status().ToString());
+          }
+          continue;
+        }
+        EXPECT_EQ(data->last_stats().exec.batches_scanned > 0, batch);
+        ASSERT_EQ(result->rows.size(), row_result->rows.size());
+        for (size_t i = 0; i < row_result->rows.size(); ++i) {
+          ASSERT_EQ(EncodeRow(result->rows[i]), EncodeRow(row_result->rows[i]))
+              << "group " << i;
+        }
       }
-      continue;
     }
-    EXPECT_GT(data->last_stats().exec.batches_scanned, 0);
-    ASSERT_EQ(batch_result->rows.size(), row_result->rows.size());
-    for (size_t i = 0; i < row_result->rows.size(); ++i) {
-      ASSERT_EQ(EncodeRow(batch_result->rows[i]),
-                EncodeRow(row_result->rows[i]))
-          << "group " << i;
-    }
+    data->set_scan_cache(nullptr);
   }
+  EXPECT_GT(cache.GetStats().shared_hits, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchExprDifferentialTest,
@@ -380,7 +404,7 @@ TEST(BatchExprTest, CrossTypeOrderOfConstantComparisons) {
                        ? MakeBinary(c.op, std::move(k), std::move(col))
                        : MakeBinary(c.op, std::move(col), std::move(k));
     std::vector<uint32_t> sel = {0, 1, 2, 3, 4, 5, 6, 7};
-    ASSERT_TRUE(FilterBatch(*pred, rows.data(), &sel).ok());
+    ASSERT_TRUE(FilterBatch(*pred, *DecodeRows(rows), &sel).ok());
     EXPECT_EQ(sel, c.want);
     std::vector<uint32_t> all = {0, 1, 2, 3, 4, 5, 6, 7};
     EXPECT_EQ(FilterRowPath(*pred, rows, all).kept, c.want);
@@ -403,7 +427,7 @@ TEST(BatchExprTest, AndEvaluatesFailingRightSideOnLeftNullRows) {
                             MakeLiteral(Value::Integer(1))),
                  MakeLiteral(Value::Integer(1))));
   std::vector<uint32_t> sel = {0, 1};
-  Status st = FilterBatch(*pred, rows.data(), &sel);
+  Status st = FilterBatch(*pred, *DecodeRows(rows), &sel);
   EXPECT_EQ(st.ToString(),
             FilterRowPath(*pred, rows, {0, 1}).status.ToString());
   EXPECT_FALSE(st.ok());
@@ -428,8 +452,161 @@ TEST(BatchExprTest, FailsWhenRowPathFailsOnAnotherError) {
                             MakeLiteral(Value::Integer(1))),
                  MakeLiteral(Value::Integer(0))));
   std::vector<uint32_t> sel = {0, 1};
-  EXPECT_FALSE(FilterBatch(*pred, rows.data(), &sel).ok());
+  EXPECT_FALSE(FilterBatch(*pred, *DecodeRows(rows), &sel).ok());
   EXPECT_FALSE(FilterRowPath(*pred, rows, {0, 1}).status.ok());
+}
+
+// Values the compact cell layout must carry exactly, in one column.
+std::vector<Row> EdgeRows() {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double kInf = std::numeric_limits<double>::infinity();
+  return {{Value::Null(), Value::Integer(0)},
+          {Value::Integer(kMin), Value::Integer(1)},
+          {Value::Integer(kMax), Value::Integer(2)},
+          {Value::Real(-0.0), Value::Integer(3)},
+          {Value::Real(0.0), Value::Integer(4)},
+          {Value::Integer(0), Value::Integer(5)},
+          {Value::Real(-kInf), Value::Integer(6)},
+          {Value::Real(kInf), Value::Integer(7)},
+          {Value::Real(std::numeric_limits<double>::denorm_min()),
+           Value::Integer(8)},
+          {Value::Text(""), Value::Integer(9)},
+          {Value::Text(std::string(300, 'q')), Value::Integer(10)},
+          {Value::Text("O"), Value::Integer(11)}};
+}
+
+TEST(BatchExprTest, EdgeValuesMatchRowPath) {
+  const std::vector<Row> rows = EdgeRows();
+  const std::shared_ptr<const DecodedPage> page = DecodeRows(rows);
+  ASSERT_EQ(page->size(), rows.size());
+  Row got;
+  for (uint32_t r = 0; r < page->size(); ++r) {
+    page->MaterializeRow(r, &got);
+    EXPECT_EQ(EncodeRow(got), EncodeRow(rows[r])) << "row " << r;
+  }
+  // Every comparison of the column with every edge value, both ways round.
+  std::vector<Value> constants;
+  for (const Row& row : rows) constants.push_back(row[0]);
+  std::vector<uint32_t> all;
+  for (uint32_t i = 0; i < rows.size(); ++i) all.push_back(i);
+  const BinOp kOps[] = {BinOp::kEq, BinOp::kNe, BinOp::kLt,
+                        BinOp::kLe, BinOp::kGt, BinOp::kGe};
+  for (BinOp op : kOps) {
+    for (const Value& k : constants) {
+      for (bool constant_left : {false, true}) {
+        ExprPtr col = MakeColumnRef("", "c");
+        col->column_index = 0;
+        ExprPtr pred = constant_left
+                           ? MakeBinary(op, MakeLiteral(k), std::move(col))
+                           : MakeBinary(op, std::move(col), MakeLiteral(k));
+        SCOPED_TRACE(ToSql(*pred));
+        std::vector<uint32_t> sel = all;
+        ASSERT_TRUE(FilterBatch(*pred, *page, &sel).ok());
+        EXPECT_EQ(sel, FilterRowPath(*pred, rows, all).kept);
+      }
+    }
+  }
+  // Through both executors: -0.0 and 0.0 compare equal but group apart
+  // (group keys are compared by bit pattern), and MIN/MAX keep the first
+  // of equal values.
+  storage::InMemoryEnv env;
+  auto db = Database::Open(&env, "data");
+  ASSERT_TRUE(db.ok());
+  Database* data = db->get();
+  ASSERT_TRUE(data->Exec("CREATE TABLE e (c TEXT, n INTEGER)").ok());
+  for (int copy = 0; copy < 3; ++copy) {
+    for (const Row& row : rows) ASSERT_TRUE(data->AppendRow("e", row).ok());
+  }
+  for (const char* sql :
+       {"SELECT c, COUNT(*), MIN(n), MAX(n) FROM e GROUP BY c",
+        "SELECT MIN(c), MAX(c), COUNT(c) FROM e",
+        "SELECT n, c FROM e WHERE c = 0",
+        "SELECT n FROM e WHERE c = '' OR c IS NULL",
+        "SELECT c, COUNT(*) FROM e WHERE c < 'O' GROUP BY c"}) {
+    SCOPED_TRACE(sql);
+    data->set_batch_execution(false);
+    auto row_result = data->Query(sql);
+    data->set_batch_execution(true);
+    auto batch_result = data->Query(sql);
+    ASSERT_TRUE(row_result.ok() && batch_result.ok());
+    EXPECT_GT(data->last_stats().exec.batches_scanned, 0);
+    ASSERT_EQ(batch_result->rows.size(), row_result->rows.size());
+    for (size_t i = 0; i < row_result->rows.size(); ++i) {
+      EXPECT_EQ(EncodeRow(batch_result->rows[i]),
+                EncodeRow(row_result->rows[i]))
+          << "row " << i;
+    }
+  }
+}
+
+TEST(BatchExprTest, TextCellEndingAtTheFramesLastByte) {
+  storage::Page frame;
+  frame.Zero();
+  const std::string record =
+      EncodeRow({Value::Integer(1), Value::Text("tail")});
+  char* at = frame.data + storage::kPageSize - record.size();
+  std::memcpy(at, record.data(), record.size());
+  DecodedPage page;
+  page.base = frame.data;
+  ASSERT_TRUE(page.AppendRecord(std::string_view(at, record.size()), 0).ok());
+  ASSERT_EQ(page.size(), 1u);
+  const std::string_view text = page.cell(0, 1).text();
+  EXPECT_EQ(text, "tail");
+  EXPECT_EQ(text.data() + text.size(), frame.data + storage::kPageSize);
+
+  ExprPtr col = MakeColumnRef("", "c");
+  col->column_index = 1;
+  ExprPtr pred =
+      MakeBinary(BinOp::kEq, std::move(col), MakeLiteral(Value::Text("tail")));
+  std::vector<uint32_t> sel = {0};
+  ASSERT_TRUE(FilterBatch(*pred, page, &sel).ok());
+  EXPECT_EQ(sel, std::vector<uint32_t>{0});
+}
+
+TEST(BatchExprTest, MalformedRecordsFailAsDecodeRowDoes) {
+  // Every malformed shape: cut at each byte of a record holding every
+  // type, a bad tag, and a trailing byte. The page fails with DecodeRow's
+  // error and keeps only the rows it had.
+  const std::string good = EncodeRow({Value::Null(), Value::Integer(-5),
+                                      Value::Real(-0.0), Value::Text("abc")});
+  std::vector<std::string> bad;
+  for (size_t n = 0; n < good.size(); ++n) bad.push_back(good.substr(0, n));
+  bad.push_back(good + "x");
+  std::string bad_tag = good;
+  bad_tag[4] = 9;  // the first value's tag
+  bad.push_back(bad_tag);
+  for (const std::string& record : bad) {
+    const std::string bytes = good + record;
+    DecodedPage page;
+    page.base = bytes.data();
+    ASSERT_TRUE(
+        page.AppendRecord(std::string_view(bytes.data(), good.size()), 0)
+            .ok());
+    const std::string_view tail(bytes.data() + good.size(), record.size());
+    Status st = page.AppendRecord(tail, 1);
+    Result<Row> want = DecodeRow(tail);
+    ASSERT_FALSE(want.ok());
+    EXPECT_EQ(st.ToString(), want.status().ToString()) << record.size();
+    EXPECT_EQ(page.size(), 1u);
+    EXPECT_EQ(page.tags.size(), 4u);
+    EXPECT_EQ(page.cells.size(), 4u);
+  }
+}
+
+TEST(BatchExprTest, RowsNarrowerThanTheExpressionFailLikeTheRowPath) {
+  // A record one column short of what the predicate reads: the batch path
+  // reports the same error the row path does on its first row.
+  const std::vector<Row> rows = {{Value::Integer(1)}, {Value::Integer(2)}};
+  ExprPtr col = MakeColumnRef("", "b");
+  col->column_index = 1;
+  ExprPtr pred =
+      MakeBinary(BinOp::kEq, std::move(col), MakeLiteral(Value::Integer(2)));
+  std::vector<uint32_t> sel = {0, 1};
+  Status st = FilterBatch(*pred, *DecodeRows(rows), &sel);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.ToString(),
+            FilterRowPath(*pred, rows, {0, 1}).status.ToString());
 }
 
 }  // namespace

@@ -40,7 +40,8 @@ std::string UniqueSocketPath() {
 
 /// Owner databases + a history: table t(k, v), 600 rows, `snapshots`
 /// snapshots each bumping v on a sliding key subset (the
-/// shared_scan_cache_test fixture shape).
+/// shared_scan_cache_test fixture shape). With `index_k`, t has an index
+/// on k, so point lookups probe it and fetch one heap page per version.
 struct HistoryFixture {
   std::unique_ptr<storage::InMemoryEnv> env =
       std::make_unique<storage::InMemoryEnv>();
@@ -50,7 +51,7 @@ struct HistoryFixture {
   retro::SnapshotId last_snap = retro::kNoSnapshot;
 };
 
-HistoryFixture MakeHistory(int snapshots) {
+HistoryFixture MakeHistory(int snapshots, bool index_k = false) {
   HistoryFixture f;
   auto data = sql::Database::Open(f.env.get(), "data");
   auto meta = sql::Database::Open(f.env.get(), "meta");
@@ -60,6 +61,9 @@ HistoryFixture MakeHistory(int snapshots) {
   f.engine = std::make_unique<RqlEngine>(f.data.get(), f.meta.get());
   EXPECT_TRUE(f.engine->EnsureSnapIds().ok());
   EXPECT_TRUE(f.data->Exec("CREATE TABLE t (k INTEGER, v INTEGER)").ok());
+  if (index_k) {
+    EXPECT_TRUE(f.data->Exec("CREATE INDEX t_k ON t (k)").ok());
+  }
   for (int k = 0; k < 600; ++k) {
     EXPECT_TRUE(
         f.data->AppendRow("t", {Value::Integer(k), Value::Integer(k * 10)})
@@ -98,6 +102,19 @@ int64_t StatsField(const std::string& stats, const std::string& key) {
   const std::string needle = "\"" + key + "\": ";
   const size_t at = stats.find(needle);
   if (at == std::string::npos) return -1;
+  return std::atoll(stats.c_str() + at + needle.size());
+}
+
+/// Integer value of `"key": ` within the `"section": {...}` object of a
+/// kStats document; -1 if absent.
+int64_t SectionField(const std::string& stats, const std::string& section,
+                     const std::string& key) {
+  const size_t begin = stats.find("\"" + section + "\": {");
+  if (begin == std::string::npos) return -1;
+  const size_t end = stats.find('}', begin);
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = stats.find(needle, begin);
+  if (at == std::string::npos || at > end) return -1;
   return std::atoll(stats.c_str() + at + needle.size());
 }
 
@@ -712,6 +729,116 @@ TEST(ServerMetricsTest, RunHistogramsCountEveryCompletedRun) {
   EXPECT_GT(snap.histograms["server.run_us"].sum_us, 0);
 
   client->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+// The snapshot page cache is store-wide and outlives runs in the daemon:
+// one session's completed run does not wipe the archived pages another
+// session's AS OF lookups keep reading.
+TEST(ServerSnapshotCacheTest, RunDoesNotClearAnotherSessionsLookupPages) {
+  HistoryFixture f = MakeHistory(12, /*index_k=*/true);
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto analyst = Client::Connect(options.socket_path);
+  auto reader = Client::Connect(options.socket_path);
+  ASSERT_TRUE(analyst.ok() && reader.ok());
+  Client* a = analyst->get();
+  Client* b = reader->get();
+
+  auto stmt = b->Prepare("SELECT v FROM t WHERE k = ?");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  ASSERT_TRUE(b->BindValue(*stmt, 1, Value::Integer(37)).ok());
+  ASSERT_TRUE(b->BindAsOf(*stmt, 2).ok());
+  auto misses = [&] {
+    return SectionField((*server)->StatsJson(), "snapshot_cache", "misses");
+  };
+
+  auto first = b->ExecPrepared(*stmt);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const int64_t after_first = misses();
+  // The lookup read archived pages, so it went through the cache.
+  ASSERT_GT(after_first, 0);
+  EXPECT_GT(SectionField((*server)->StatsJson(), "snapshot_cache", "pages"),
+            0);
+
+  EXPECT_EQ(RunOverAllSnapIds(a), 12);
+  const int64_t after_run = misses();
+
+  auto repeat = b->ExecPrepared(*stmt);
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_EQ(EncodeRows(*repeat), EncodeRows(*first));
+  EXPECT_EQ(misses() - after_run, 0)
+      << "the repeated lookup loaded archived pages again";
+
+  analyst->reset();
+  reader->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+// A truncation through the daemon empties the warm snapshot cache, and the
+// runs and lookups after it match an embedded engine that truncated the
+// same history.
+TEST(ServerSnapshotCacheTest, TruncateEmptiesCacheAndKeepsResultsExact) {
+  HistoryFixture f = MakeHistory(12, /*index_k=*/true);
+  HistoryFixture oracle = MakeHistory(12, /*index_k=*/true);
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto connected = Client::Connect(options.socket_path);
+  ASSERT_TRUE(connected.ok());
+  Client* c = connected->get();
+
+  auto stmt = c->Prepare("SELECT k, v FROM t WHERE k = ?");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  ASSERT_TRUE(c->BindValue(*stmt, 1, Value::Integer(37)).ok());
+  auto lookup = [&](retro::SnapshotId s) {
+    EXPECT_TRUE(c->BindAsOf(*stmt, s).ok());
+    auto rows = c->ExecPrepared(*stmt);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? EncodeRows(*rows) : std::vector<std::string>();
+  };
+  // Warm the cache with lookups and a run over the whole history.
+  for (retro::SnapshotId s = 1; s <= f.last_snap; ++s) lookup(s);
+  EXPECT_EQ(RunOverAllSnapIds(c), 12);
+  const std::string warm = (*server)->StatsJson();
+  ASSERT_GT(SectionField(warm, "snapshot_cache", "pages"), 0);
+
+  auto earliest = c->Truncate(6);
+  ASSERT_TRUE(earliest.ok()) << earliest.status().ToString();
+  EXPECT_EQ(SectionField((*server)->StatsJson(), "snapshot_cache", "pages"),
+            0);
+  ASSERT_TRUE(oracle.engine->TruncateHistory(6).ok());
+
+  const std::string qs = "SELECT snap_id FROM SnapIds ORDER BY snap_id";
+  ASSERT_TRUE(oracle.engine->CollateData(qs, kQq, "Oracle").ok());
+  auto want = oracle.meta->Query("SELECT * FROM Oracle");
+  ASSERT_TRUE(want.ok());
+  ASSERT_FALSE(want->rows.empty());
+  for (int round = 0; round < 2; ++round) {  // cold, then warm again
+    SCOPED_TRACE("round " + std::to_string(round));
+    auto run = c->StartRun(Mechanism::kCollateData, qs, kQq, "Out");
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    auto done = c->WaitRun(*run);
+    ASSERT_TRUE(done.ok() && done->status.ok());
+    auto got = c->MetaSql("SELECT * FROM Out");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(EncodeRows(*got), EncodeRows(*want));
+    for (retro::SnapshotId s = 6; s <= f.last_snap; ++s) {
+      auto local = oracle.data->Query("SELECT AS OF " + std::to_string(s) +
+                                      " k, v FROM t WHERE k = 37");
+      ASSERT_TRUE(local.ok());
+      EXPECT_EQ(lookup(s), EncodeRows(*local)) << "snapshot " << s;
+    }
+  }
+
+  connected->reset();
   WaitForNoSessions(server->get());
   (*server)->Stop();
 }

@@ -5,11 +5,15 @@
 // scoped metrics handle, shared-page keys retired at capture (re-keyed,
 // or suppressed while a decode is in flight), and TSan-able stress mixes
 // of concurrent attached engines and of scans racing a writer, validated
-// against uncached oracles.
+// against uncached oracles; and the compact decoded-page layout: four read
+// paths (cached and uncached, batch and row) byte-identical over edge
+// values, and the per-entry charge of a TPC-H orders page.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "sql/shared_scan_cache.h"
 #include "storage/env.h"
 #include "storage/page.h"
+#include "tpch/tpch.h"
 
 namespace rql {
 namespace {
@@ -34,14 +39,10 @@ using sql::Value;
 /// A decoded page whose EstimateBytes charge is kPageSize + overhead,
 /// tagged with `tag` so tests can tell entries apart.
 std::shared_ptr<const DecodedPage> MakePage(int64_t tag) {
-  auto page = std::make_shared<DecodedPage>();
-  page->rows.push_back(Row{Value::Integer(tag)});
-  return page;
+  return sql::DecodeRows({Row{Value::Integer(tag)}});
 }
 
-int64_t PageTag(const DecodedPage& page) {
-  return page.rows.at(0).at(0).AsInt();
-}
+int64_t PageTag(const DecodedPage& page) { return page.cell(0, 0).integer(); }
 
 TEST(SharedScanCacheTest, SingleFlightProtocolSingleThread) {
   SharedScanCache cache;
@@ -527,8 +528,10 @@ std::vector<std::string> ScanRows(storage::PageReader* reader,
     auto it = sql::HeapTable::ScanBatches(reader, root, cache);
     for (; it.Valid(); it.Next()) {
       const sql::RowBatch& b = it.batch();
-      for (uint32_t i = 0; i < b.size; ++i) {
-        out.push_back(sql::EncodeRow(b.rows[i]));
+      Row row;
+      for (uint32_t i = 0; i < b.size(); ++i) {
+        b.page->MaterializeRow(i, &row);
+        out.push_back(sql::EncodeRow(row));
       }
     }
     EXPECT_TRUE(it.status().ok()) << it.status().ToString();
@@ -536,8 +539,9 @@ std::vector<std::string> ScanRows(storage::PageReader* reader,
   }
   auto it = sql::HeapTable::Scan(reader, root, cache);
   for (; it.Valid(); it.Next()) {
-    if (const Row* row = it.cached_row()) {
-      out.push_back(sql::EncodeRow(*row));
+    Row cached;
+    if (it.cached_row(&cached)) {
+      out.push_back(sql::EncodeRow(cached));
       continue;
     }
     auto row = sql::DecodeRow(it.record());
@@ -674,6 +678,188 @@ TEST(SharedScanCacheEngineTest, ScansRacingAWriterMatchUncachedOracle) {
           << "snapshot " << s;
     }
   }
+}
+
+// --- compact decoded pages --------------------------------------------------
+
+/// One value of the kinds the compact cell layout must carry exactly:
+/// NULL, INT64 min/max, reals whose bit patterns differ while comparing
+/// equal (-0.0 and 0.0), infinities, empty and long text.
+Value EdgeValue(Random* rng) {
+  switch (rng->Uniform(11)) {
+    case 0: return Value::Null();
+    case 1: return Value::Integer(std::numeric_limits<int64_t>::min());
+    case 2: return Value::Integer(std::numeric_limits<int64_t>::max());
+    case 3: return Value::Real(-0.0);
+    case 4: return Value::Real(0.0);
+    case 5: return Value::Real(-std::numeric_limits<double>::infinity());
+    case 6: return Value::Real(std::numeric_limits<double>::denorm_min());
+    case 7: return Value::Text("");
+    case 8: return Value::Text(std::string(1 + rng->Uniform(200), 'x'));
+    case 9: return Value::Integer(static_cast<int64_t>(rng->Uniform(5)));
+    default: return Value::Text("O");
+  }
+}
+
+/// Encoded rows of `SELECT AS OF snap * FROM w` through `data` with the
+/// given execution path and cache, or the error it fails with.
+std::vector<std::string> QueryAllRows(sql::Database* data,
+                                      retro::SnapshotId snap, bool batch,
+                                      SharedScanCache* cache) {
+  data->set_batch_execution(batch);
+  data->set_scan_cache(cache);
+  auto result =
+      data->Query("SELECT AS OF " + std::to_string(snap) + " * FROM w");
+  data->set_scan_cache(nullptr);
+  data->set_batch_execution(true);
+  if (!result.ok()) return {"error: " + result.status().ToString()};
+  std::vector<std::string> out;
+  for (const Row& row : result->rows) out.push_back(sql::EncodeRow(row));
+  return out;
+}
+
+class CompactPageDifferentialTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+// Cached batch, uncached batch, cached row and plain row read every
+// snapshot of an edge-value history byte for byte alike, at the heap and
+// through SQL. The table's first record is sized to end exactly where the
+// root page's slot directory begins, and the last snapshot holds records
+// narrower and wider than the schema (written below the SQL layer), which
+// every SQL path rejects with the same error.
+TEST_P(CompactPageDifferentialTest, FourReadPathsAgree) {
+  Random rng(GetParam());
+  EngineFixture f;
+  auto data = sql::Database::Open(f.env.get(), "data");
+  auto meta = sql::Database::Open(f.env.get(), "meta");
+  ASSERT_TRUE(data.ok() && meta.ok());
+  f.data = std::move(*data);
+  f.meta = std::move(*meta);
+  f.engine = std::make_unique<RqlEngine>(f.data.get(), f.meta.get());
+  ASSERT_TRUE(f.engine->EnsureSnapIds().ok());
+  ASSERT_TRUE(f.data->Exec("CREATE TABLE w (k INTEGER, a REAL, b TEXT)").ok());
+  // Two records fill the root page: records start at byte 16 and the two
+  // 4-byte slots take the last 8 bytes; each row's encoding is
+  // 4 + 9 + 9 + 5 + len bytes, so the second one's text ends exactly where
+  // the slot directory begins.
+  const size_t fill = storage::kPageSize - 8 - 16 - 2 * 27 - 2000;
+  for (size_t len : {size_t{2000}, fill}) {
+    ASSERT_TRUE(f.data
+                    ->AppendRow("w", {Value::Integer(-1), Value::Real(-0.0),
+                                      Value::Text(std::string(len, 'z'))})
+                    .ok());
+  }
+  const storage::PageId root = TableRoot(f.data.get(), "w");
+  {
+    // Both filled the root page and nothing else fits beside them.
+    ASSERT_TRUE(f.data->AppendRow("w", {Value::Integer(-2), Value::Null(),
+                                        Value::Null()})
+                    .ok());
+    std::vector<storage::PageId> pages;
+    for (auto it = sql::HeapTable::Scan(f.data->store(), root); it.Valid();
+         it.Next()) {
+      pages.push_back(sql::RidPage(it.rid()));
+    }
+    ASSERT_EQ(pages.size(), 3u);
+    EXPECT_EQ(pages[0], root);
+    EXPECT_EQ(pages[1], root);
+    EXPECT_NE(pages[2], root);
+  }
+  for (int k = 0; k < 400; ++k) {
+    ASSERT_TRUE(f.data
+                    ->AppendRow("w", {Value::Integer(k), EdgeValue(&rng),
+                                      EdgeValue(&rng)})
+                    .ok());
+  }
+  for (int s = 0; s < 4; ++s) {
+    ASSERT_TRUE(f.data->Exec("BEGIN").ok());
+    ASSERT_TRUE(f.data
+                    ->Exec("UPDATE w SET b = 'u" + std::to_string(s) +
+                           "' WHERE k % 7 = " + std::to_string(s))
+                    .ok());
+    auto snap = f.engine->CommitWithSnapshot("s" + std::to_string(s));
+    ASSERT_TRUE(snap.ok());
+    f.last_snap = *snap;
+  }
+  {
+    sql::HeapTable heap(f.data->store(), root);
+    ASSERT_TRUE(heap.Insert(sql::EncodeRow({Value::Integer(7)})).ok());
+    ASSERT_TRUE(heap.Insert(sql::EncodeRow({Value::Integer(8), Value::Null(),
+                                            Value::Text(""),
+                                            Value::Real(-0.0)}))
+                    .ok());
+  }
+  auto snap = f.engine->CommitWithSnapshot("widths");
+  ASSERT_TRUE(snap.ok());
+  f.last_snap = *snap;
+
+  retro::SnapshotStore* store = f.data->store();
+  SharedScanCache cache;
+  ScopedCleanup attached = store->AttachCaptureListener(&cache);
+  for (int pass = 0; pass < 2; ++pass) {  // decode, then serve from cache
+    for (retro::SnapshotId s = 1; s <= f.last_snap; ++s) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + ", snapshot " +
+                   std::to_string(s));
+      auto view = store->OpenSnapshot(s);
+      ASSERT_TRUE(view.ok());
+      const std::vector<std::string> plain_row =
+          ScanRows(view->get(), root, nullptr, false);
+      ASSERT_FALSE(plain_row.empty());
+      ASSERT_GT(plain_row.size(), 2u);
+      auto second = sql::DecodeRow(plain_row[1]);
+      ASSERT_TRUE(second.ok());
+      EXPECT_EQ((*second)[2].text(), std::string(fill, 'z'));
+      EXPECT_EQ(ScanRows(view->get(), root, nullptr, true), plain_row);
+      EXPECT_EQ(ScanRows(view->get(), root, &cache, false), plain_row);
+      EXPECT_EQ(ScanRows(view->get(), root, &cache, true), plain_row);
+
+      const std::vector<std::string> sql_plain =
+          QueryAllRows(f.data.get(), s, false, nullptr);
+      EXPECT_EQ(QueryAllRows(f.data.get(), s, true, nullptr), sql_plain);
+      EXPECT_EQ(QueryAllRows(f.data.get(), s, false, &cache), sql_plain);
+      EXPECT_EQ(QueryAllRows(f.data.get(), s, true, &cache), sql_plain);
+      if (s == f.last_snap) {
+        ASSERT_EQ(sql_plain.size(), 1u);
+        EXPECT_EQ(sql_plain[0],
+                  "error: Corruption: row arity mismatch in table w");
+      } else {
+        EXPECT_EQ(sql_plain, plain_row);
+      }
+    }
+  }
+  EXPECT_GT(cache.GetStats().shared_hits, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompactPageDifferentialTest,
+                         ::testing::Values(11, 12, 13));
+
+// The compact layout's budget: a cached TPC-H orders page (five columns,
+// about 70 rows) is charged at most two pages — its pinned 4 KiB frame
+// plus at most as much again for slots, row offsets, tags and cells.
+TEST(CompactPageTest, OrdersPageChargeIsAtMostTwoPages) {
+  storage::InMemoryEnv env;
+  auto db = sql::Database::Open(&env, "tpch");
+  ASSERT_TRUE(db.ok());
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  tpch::TpchGenerator gen(db->get(), config);
+  ASSERT_TRUE(gen.CreateSchema().ok());
+  ASSERT_TRUE(gen.Populate().ok());
+  const sql::TableInfo* orders =
+      (*db)->catalog()->data().FindTable("orders");
+  ASSERT_NE(orders, nullptr);
+  int pages = 0;
+  uint64_t max_bytes = 0;
+  for (auto it = sql::HeapTable::ScanBatches((*db)->store(), orders->root);
+       it.Valid(); it.Next()) {
+    ++pages;
+    max_bytes = std::max(max_bytes,
+                         SharedScanCache::EstimateBytes(*it.batch().page));
+  }
+  ASSERT_GT(pages, 2);
+  EXPECT_LE(max_bytes, 2 * storage::kPageSize);
+  std::printf("orders: %d pages, largest entry charge %llu bytes\n", pages,
+              static_cast<unsigned long long>(max_bytes));
 }
 
 }  // namespace

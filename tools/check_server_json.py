@@ -5,8 +5,8 @@ Usage: check_server_json.py STATS.json
        rql_shell --connect SOCKET --pull-stats | check_server_json.py -
 
 Validates the wire-protocol stats document CI pulls from a live
-rql_serverd: the five sections (server, scheduler, scan_cache, store,
-snapids),
+rql_serverd: the six sections (server, scheduler, scan_cache,
+snapshot_cache, store, snapids),
 their field types, and the internal invariants a healthy server must
 satisfy. Exits non-zero with a path-qualified message on the first
 violation.
@@ -39,6 +39,14 @@ SECTIONS = {
         "entries": int,
         "bytes": int,
         "retired": int,
+    },
+    "snapshot_cache": {
+        "pages": int,
+        "capacity_pages": int,
+        "hits": int,
+        "misses": int,
+        "evictions": int,
+        "shards": int,
     },
     "store": {
         "earliest_snapshot": int,
@@ -95,6 +103,20 @@ def check_stats(doc):
     require((cache["bytes"] > 0) == (cache["entries"] > 0), "$.scan_cache",
             "bytes/entries disagree about residency")
     require(cache["retired"] >= 0, "$.scan_cache.retired", "negative count")
+
+    pool = doc["snapshot_cache"]
+    for name, value in pool.items():
+        require(value >= 0, f"$.snapshot_cache.{name}", "negative count")
+    # capacity_pages 0 means unbounded. Each shard holds ceil(capacity /
+    # shards) pages, so the bound is exact only when the shards divide the
+    # capacity; otherwise it can be exceeded by up to shards - 1 pages.
+    if pool["capacity_pages"] > 0:
+        require(pool["shards"] > 0, "$.snapshot_cache.shards",
+                "no shards")
+        slack = (pool["shards"] - 1
+                 if pool["capacity_pages"] % pool["shards"] else 0)
+        require(pool["pages"] <= pool["capacity_pages"] + slack,
+                "$.snapshot_cache", "more resident pages than the capacity")
 
     store = doc["store"]
     require(store["earliest_snapshot"] <= store["latest_snapshot"] + 1,
